@@ -59,7 +59,6 @@ echo "== proptest corpora =="
 # counterexample seeds are never lost.
 for d in crates/*/ .; do
     f="$d/proptest-regressions/seeds.txt"
-    case "$d" in vendor/*) continue ;; esac
     if [ ! -f "$f" ]; then
         echo "missing proptest regression corpus: $f" >&2
         exit 1
@@ -118,33 +117,10 @@ if [ "$slo_status" -ne 1 ]; then
     exit 1
 fi
 
-echo "== perf smoke =="
-# Perf observatory gate (DESIGN.md §12): the checked-in trajectory must
-# validate, the live quick matrix must pass the regression thresholds
-# against it, and the gate must prove it can fire (self-test exits 1).
-# The --flight-out poisoned run leaves a flight dump that lobster_doctor
-# must turn into a non-empty diagnosis — the crash-forensics path end to
-# end. Hard timeout: a hung benchmark fails the gate, not the runner.
-flight_dir="$obs_dir/flight"
-timeout 180 cargo run -q --release -p lobster-bench --bin lobster_perf -- \
-    --validate BENCH_0001.json
-timeout 180 cargo run -q --release -p lobster-bench --bin lobster_perf -- \
-    --quick --flight-out "$flight_dir" 2> /dev/null
-set +e
-timeout 180 cargo run -q --release -p lobster-bench --bin lobster_perf -- \
-    --quick --self-test-regression 2> /dev/null
-perf_selftest_status=$?
-set -e
-if [ "$perf_selftest_status" -ne 1 ]; then
-    echo "perf gate self-test: expected exit 1 (regression detected), got $perf_selftest_status" >&2
-    exit 1
-fi
-timeout 180 cargo run -q --release -p lobster-bench --bin lobster_perf -- --quick
-timeout 120 cargo run -q --release -p lobster-bench --bin lobster_doctor -- \
-    --flight "$flight_dir" --out-dir "$obs_dir/results" | tee "$obs_dir/flight_doctor.txt"
-grep -q "flight dump trigger: worker_panic" "$obs_dir/flight_doctor.txt" || {
-    echo "flight doctor did not name the worker_panic trigger" >&2
-    exit 1
-}
+echo "== benchmark =="
+# The repo's one perf tool (BENCHMARK.json, benchmark/README.md): fmt,
+# clippy, unit and schema tests, a smoke run of every workload, and proof
+# that the benchmark's correctness gate fails when it should.
+timeout 600 benchmark/check.sh
 
 echo "CI OK"

@@ -7,7 +7,6 @@
 
 pub mod doctor;
 pub mod harness;
-pub mod perf;
 
 pub use harness::{
     compare_policies, compare_policies_with, decisions_sidecar, faults_from_args, metrics_sidecar,

@@ -13,20 +13,14 @@
 //!   deterministic-prefetching property the paper relies on is bit-exact.
 //! * [`engine`] — typed event queue with FIFO tie-breaking and a
 //!   [`engine::SimWorld`] trait.
-//! * [`pslink`] — processor-sharing fluid link (PFS aggregate bandwidth).
-//! * [`server`] — deterministic FCFS multi-server queue (thread pools).
 //!
 //! Everything in this crate is deterministic: same seed, same event stream,
 //! same results, on every platform.
 
 pub mod engine;
-pub mod pslink;
 pub mod rng;
-pub mod server;
 pub mod time;
 
 pub use engine::{run, RunStats, Scheduler, SimWorld};
-pub use pslink::{FlowId, PsLink};
 pub use rng::{derive_seed, derive_seed2, SplitMix64, Xoshiro256StarStar};
-pub use server::ServerPool;
 pub use time::{SimDuration, SimTime};

@@ -1,8 +1,6 @@
 //! Property-based tests for the simulation kernel invariants.
 
-use lobster_sim::{
-    PsLink, Scheduler, ServerPool, SimDuration, SimTime, SimWorld, Xoshiro256StarStar,
-};
+use lobster_sim::{Scheduler, SimTime, SimWorld, Xoshiro256StarStar};
 use proptest::prelude::*;
 
 proptest! {
@@ -34,57 +32,6 @@ proptest! {
         for _ in 0..32 {
             prop_assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    /// FCFS pool: completions never precede arrival + service, total busy
-    /// time is the sum of service times, and jobs on one server never
-    /// complete earlier than an earlier-submitted job would allow.
-    #[test]
-    fn server_pool_fcfs_invariants(
-        servers in 1usize..8,
-        jobs in proptest::collection::vec((0u64..1_000_000, 1u64..1_000_000), 1..64),
-    ) {
-        let mut pool = ServerPool::new(servers);
-        let mut now = SimTime::ZERO;
-        let mut total_service = 0u64;
-        let mut completions = Vec::new();
-        for (gap, service) in jobs {
-            now += SimDuration::from_nanos(gap);
-            let done = pool.submit(now, SimDuration::from_nanos(service));
-            prop_assert!(done >= now + SimDuration::from_nanos(service));
-            completions.push(done);
-            total_service += service;
-        }
-        prop_assert_eq!(pool.total_busy(), SimDuration::from_nanos(total_service));
-        prop_assert_eq!(pool.drained_at(), *completions.iter().max().unwrap());
-    }
-
-    /// PS link conserves bytes: everything started is eventually delivered.
-    #[test]
-    fn pslink_conserves_bytes(
-        capacity in 1.0f64..1e6,
-        flows in proptest::collection::vec((0u64..1_000_000, 0.0f64..1e6), 1..32),
-    ) {
-        let mut link = PsLink::new(capacity);
-        let mut now = SimTime::ZERO;
-        let mut total = 0.0;
-        for (gap, bytes) in flows {
-            now += SimDuration::from_nanos(gap);
-            link.start_flow(now, bytes);
-            total += bytes;
-        }
-        let mut guard = 0;
-        while link.active() > 0 {
-            let t = link.next_completion(now).expect("active link must complete");
-            prop_assert!(t >= now);
-            now = t;
-            link.complete(now);
-            guard += 1;
-            prop_assert!(guard < 10_000, "completion loop did not converge");
-        }
-        // 1-byte tolerance per flow for nanosecond rounding.
-        prop_assert!((link.delivered_bytes - total).abs() <= 32.0,
-            "delivered {} vs started {}", link.delivered_bytes, total);
     }
 }
 

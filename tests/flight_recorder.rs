@@ -7,21 +7,24 @@
 //!    a worker, and the teardown hook's `flightdump_worker_panic_*.json`
 //!    retains exactly the recorder's last-K window — byte-for-byte equal
 //!    to re-serializing `Instruments::flight_snapshot()` from the same
-//!    run, with the dump's fault events matching the engine report.
+//!    run, with the dump's fault events matching the engine report — and
+//!    the doctor's flight diagnosis of that dump names the trigger.
 //! 2. **Zero allocation**: the disabled flight facet never runs its
 //!    closures (counting-allocator proof, same harness as
 //!    `tests/zero_cost.rs`), and the *enabled* steady-state record path is
 //!    also allocation-free once the ring exists — the property that makes
 //!    an always-on recorder affordable.
 //!
-//! The allocation counter is process-global, so every measured window and
-//! the allocation-heavy engine run serialize on one gate mutex.
+//! The zero-allocation proofs count the measuring thread's allocations
+//! only (`tests/common/alloc.rs`), so the engine run's worker threads and
+//! the harness's other test threads cannot perturb them.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+mod common;
+
 use std::time::Duration;
 
+use common::alloc::thread_allocations as allocations;
+use lobster_repro::bench::doctor;
 use lobster_repro::data::{Dataset, SizeDistribution};
 use lobster_repro::metrics::{
     FlightDump, FlightEvent, FlightFault, FlightTier, Instruments, StageSample,
@@ -30,37 +33,8 @@ use lobster_repro::metrics::{
 use lobster_repro::runtime::{run_with, EngineConfig, SyntheticStore};
 use lobster_repro::storage::FaultSpec;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
-
-/// Tests in this binary run on parallel harness threads but share the one
-/// process-wide allocation counter; each test holds this for its measured
-/// window (or, for the engine test, its allocation storm).
-static GATE: Mutex<()> = Mutex::new(());
-
 #[test]
 fn worker_panic_dump_is_the_recorders_last_k_window() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-
     let dir = std::env::temp_dir().join(format!("lobster_flight_golden_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create dump dir");
 
@@ -116,8 +90,8 @@ fn worker_panic_dump_is_the_recorders_last_k_window() {
     assert_eq!(dumps.len(), 1, "one teardown dump expected: {dumps:?}");
     let dump_path = dumps.pop().unwrap();
 
-    let dump = FlightDump::from_json(&std::fs::read_to_string(&dump_path).expect("read dump"))
-        .expect("dump parses");
+    let dump_text = std::fs::read_to_string(&dump_path).expect("read dump");
+    let dump = FlightDump::from_json(&dump_text).expect("dump parses");
     assert_eq!(dump.trigger, "worker_panic");
     assert_eq!(dump.total_events, ins.flight_recorded());
     assert!(
@@ -159,13 +133,21 @@ fn worker_panic_dump_is_the_recorders_last_k_window() {
         .count();
     assert!(iterations > 0, "iteration events must be retained");
 
+    // Crash forensics end to end: the doctor turns the dump into a
+    // non-empty diagnosis that names the trigger first.
+    let diagnosis = doctor::diagnose_flight(&dump_text).expect("doctor reads the dump");
+    assert!(!diagnosis.is_empty(), "doctor found nothing in the dump");
+    let rendered = doctor::render(&diagnosis);
+    assert!(
+        rendered.contains("flight dump trigger: worker_panic"),
+        "doctor did not name the trigger:\n{rendered}"
+    );
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn disabled_flight_facet_allocates_nothing_and_runs_no_closures() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-
     let ins = Instruments::disabled();
     let before = allocations();
     for i in 0..10_000u64 {
@@ -194,8 +176,6 @@ fn disabled_flight_facet_allocates_nothing_and_runs_no_closures() {
 
 #[test]
 fn enabled_steady_state_record_path_allocates_nothing() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-
     let ins = Instruments::enabled();
     // Warm-up: the ring and tier histograms are preallocated at
     // construction; a few records prove any lazy state settles first.

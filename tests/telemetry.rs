@@ -15,14 +15,16 @@
 //!    across 1× ring wraps and both rollup-ring wraps (counting-allocator
 //!    proof, same harness as `tests/flight_recorder.rs`).
 //!
-//! The allocation counter is process-global, so every measured window and
-//! the allocation-heavy runs serialize on one gate mutex.
+//! The zero-allocation proofs count the measuring thread's allocations
+//! only (`tests/common/alloc.rs`), so the other tests' engine and
+//! simulator runs on parallel harness threads cannot perturb them.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
+use common::alloc::thread_allocations as allocations;
 use lobster_repro::conformance::runner::{
     crash_conformance_config, elastic_conformance_config, run_differential,
 };
@@ -36,40 +38,12 @@ use lobster_repro::pipeline::ClusterSim;
 use lobster_repro::runtime::{run_with, EngineConfig, SyntheticStore};
 use lobster_repro::storage::CrashSpec;
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
-
-/// Tests in this binary run on parallel harness threads but share the one
-/// process-wide allocation counter; each test holds this for its measured
-/// window (or, for the engine tests, their allocation storms).
-static GATE: Mutex<()> = Mutex::new(());
-
 // ---------------------------------------------------------------------
 // 1. Cross-executor anomaly conformance (five seeds, two topologies).
 // ---------------------------------------------------------------------
 
 #[test]
 fn anomaly_sequences_agree_across_executors_for_five_seeds() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let mut total_firings = 0usize;
     for seed in 11..=15u64 {
         for cfg in [
@@ -122,8 +96,6 @@ fn engine_cfg() -> EngineConfig {
 
 #[test]
 fn engine_anomaly_sequence_replays_exactly_from_recorded_frames() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-
     let ds = engine_dataset(96);
     let cfg = engine_cfg();
     let store = Arc::new(SyntheticStore::new(ds, Duration::from_micros(20), 0.0));
@@ -154,8 +126,6 @@ fn engine_anomaly_sequence_replays_exactly_from_recorded_frames() {
 
 #[test]
 fn engine_crash_and_rejoin_fire_membership_anomalies_at_their_ticks() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-
     let ds = engine_dataset(96);
     let cfg = EngineConfig {
         crashes: vec![CrashSpec {
@@ -241,8 +211,6 @@ fn quiet_frame(tick: u64) -> TickScalars {
 
 #[test]
 fn disabled_telemetry_facet_allocates_nothing() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-
     let ins = Instruments::disabled();
     let before = allocations();
     for i in 0..10_000u64 {
@@ -261,8 +229,6 @@ fn disabled_telemetry_facet_allocates_nothing() {
 
 #[test]
 fn enabled_steady_state_record_tick_allocates_nothing_across_wraps() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-
     let ins = Instruments::enabled();
     // Warm-up: rings, rollup accumulators, and per-tier tick histograms
     // are preallocated at construction; a few records settle any lazy

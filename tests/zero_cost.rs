@@ -2,39 +2,18 @@
 //!
 //! `Instruments::disabled()` is what every un-instrumented run carries
 //! through the engine's per-batch hot path, so "one branch per site" is a
-//! hard contract, not an aspiration. This test swaps in a counting
-//! allocator and drives the exact site shapes the engine uses — the
-//! fetch-span closure, pre-fetched counter/gauge handles, `now_us`, and
-//! `observe_iteration` — asserting the fully-disabled path performs zero
-//! heap allocations. The companion micro-benchmark is
-//! `crates/bench/benches/observability.rs`.
+//! hard contract, not an aspiration. This test drives the exact site
+//! shapes the engine uses — the fetch-span closure, pre-fetched
+//! counter/gauge handles, `now_us`, and `observe_iteration` — under the
+//! shared counting allocator, asserting the fully-disabled path performs
+//! zero heap allocations on the measuring thread. Its cost in time is the
+//! benchmark's `metrics.instruments.disabled_call_ns` (see
+//! `benchmark/README.md`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::alloc::thread_allocations as allocations;
 use lobster_repro::metrics::{GpuIterSample, Instruments, StageSample, TraceEvent};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
 
 #[test]
 fn disabled_fetch_span_path_allocates_nothing() {
