@@ -19,11 +19,11 @@
 //! stage instead of panicking, and an [`AbortableBarrier`] plus the store's
 //! cancel flag let the engine drain cleanly even if a consumer dies.
 
-use crate::cache::ShardCache;
+use crate::cache::{Lookup, ShardCache};
 use crate::resilient::ResilientStore;
-use crate::store::{sample_checksum, FetchError, SyntheticStore};
+use crate::store::{canonical_checksum, sample_checksum, FetchError, SyntheticStore};
 use crate::sync::{AbortableBarrier, RoleBoard, ROLE_LOADER, ROLE_PREPROC};
-use crate::transform::{invert, preprocess};
+use crate::transform::{invert_in_place, preprocess};
 use crossbeam::channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender, TryRecvError};
 use lobster_core::elastic::{
     ElasticController, ElasticDecision, ElasticObservation, ElasticParams,
@@ -373,13 +373,15 @@ fn fetch_one(
     }
     let key = clock.fetch_add(1, Ordering::Relaxed);
     fetches_m.inc();
-    let (bytes, tier) = match cache.get(req.sample, key) {
-        Some(b) => (b, "cache"),
-        None => {
+    let (bytes, tier) = match cache.get_or_claim(req.sample, key) {
+        Lookup::Hit(b) => (b, "cache"),
+        Lookup::Claim(claim) => {
             // Poisoned-worker containment: an injected poison fault panics
             // inside the fetch. The panic is caught here (no locks are held
             // across the fetch), logged, and the request re-executed — the
-            // worker "restarts" instead of taking the whole scope down.
+            // worker "restarts" instead of taking the whole scope down. The
+            // claim is held throughout; returning on cancellation drops it,
+            // which hands the fetch to any loader waiting on this id.
             let fetched = loop {
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     rstore.fetch(req.sample)
@@ -406,7 +408,7 @@ fn fetch_one(
                     }
                 }
             };
-            cache.insert(req.sample, Arc::clone(&fetched), key);
+            claim.fill(Arc::clone(&fetched), key);
             (fetched, "store")
         }
     };
@@ -456,8 +458,7 @@ pub fn expected_integrity(dataset: &Dataset, cfg: &EngineConfig) -> u64 {
     for epoch in 0..cfg.epochs {
         let sched = engine_schedule(spec, epoch, cfg);
         for &s in sched.all_accesses() {
-            let bytes = crate::store::sample_bytes(s, dataset.size_of(s) as usize);
-            acc ^= sample_checksum(&bytes);
+            acc ^= canonical_checksum(s, dataset.size_of(s) as usize);
         }
     }
     acc
@@ -1079,6 +1080,8 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
                 // running totals. [hits, misses, evictions, retries,
                 // delivered].
                 let mut tele_prev = [0u64; 5];
+                // One batch buffer for the whole run.
+                let mut have: Vec<Cooked> = Vec::with_capacity(cfg2.batch_size);
                 'iters: for iter in 0..total_iters {
                     // Membership first: the tick's crashes/rejoins take
                     // effect before any of this iteration's arrivals are
@@ -1108,7 +1111,9 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
                             member_store.set_down_mask(plan.down_mask_at(iter));
                         }
                     }
-                    let mut have = stash.remove(&iter).unwrap_or_default();
+                    if let Some(early) = stash.remove(&iter) {
+                        have.extend(early);
+                    }
                     while have.len() < cfg2.batch_size {
                         match rx.recv() {
                             Ok(c) if c.iter == iter => have.push(c),
@@ -1128,15 +1133,16 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
                             }
                         }
                     }
-                    // End-to-end integrity: un-mix and fingerprint.
+                    // End-to-end integrity: un-mix each delivered buffer in
+                    // place and fingerprint it.
                     let mut acc = 0u64;
-                    for c in &have {
-                        let original = invert(
-                            &c.bytes,
+                    for c in &mut have {
+                        invert_in_place(
+                            &mut c.bytes,
                             cfg2.work_factor_at(iter)
                                 .saturating_mul(sample_costs[c.sample.index()]),
                         );
-                        acc ^= sample_checksum(&original);
+                        acc ^= sample_checksum(&c.bytes);
                     }
                     let mut ids: Vec<u64> = have.iter().map(|c| c.sample.0 as u64).collect();
                     ids.sort_unstable();
@@ -1145,6 +1151,7 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
                     delivered.fetch_add(have.len() as u64, Ordering::Relaxed);
                     delivered_m.add(have.len() as u64);
                     consumed[consumer].fetch_add(have.len() as u64, Ordering::Relaxed);
+                    have.clear();
                     // "Training".
                     std::thread::sleep(cfg2.train);
                     // Gradient-allreduce stand-in.

@@ -8,7 +8,8 @@
 //! * [`store`] — deterministic synthetic samples behind a simulated-PFS
 //!   fetch cost.
 //! * [`cache`] — a thread-safe, capacity-bounded byte cache with
-//!   priority-indexed eviction (shared with the simulator's mechanics).
+//!   priority-indexed eviction (shared with the simulator's mechanics) and
+//!   single-flight misses.
 //! * [`transform`] — an invertible CPU-proportional preprocessing stand-in,
 //!   so end-to-end integrity is checkable.
 //! * [`engine`] — multi-queue loaders, preprocessing pool, consumer
@@ -17,7 +18,8 @@
 //!   With [`EngineConfig::elastic`] the two pools merge into one elastic
 //!   pool whose preproc↔loader roles flip at iteration boundaries (§4.1).
 //! * [`resilient`] — the self-healing fetch path: retries with
-//!   backoff + jitter, per-fetch deadlines, checksum-verified refetch.
+//!   backoff + jitter, per-fetch deadlines, refetch of any payload that
+//!   fails its memoised canonical checksum.
 //! * [`sync`] — abort-aware barrier so a failed worker can never deadlock
 //!   the consumer rendezvous, and the elastic pool's shared
 //!   [`sync::RoleBoard`].
@@ -35,6 +37,8 @@ pub use engine::{
     schedule_spec, EngineConfig, EngineReport,
 };
 pub use resilient::{RecoveryStats, ResilientStore};
-pub use store::{sample_bytes, sample_checksum, FetchError, InjectedFaults, SyntheticStore};
+pub use store::{
+    canonical_checksum, sample_bytes, sample_checksum, FetchError, InjectedFaults, SyntheticStore,
+};
 pub use sync::{AbortableBarrier, BarrierAborted, RoleBoard, ROLE_LOADER, ROLE_PREPROC};
-pub use transform::{invert, preprocess};
+pub use transform::{invert, invert_in_place, preprocess};

@@ -1,9 +1,11 @@
 //! Self-healing fetch path: [`ResilientStore`] wraps a [`SyntheticStore`]
 //! with bounded retries (exponential backoff + decorrelated jitter),
 //! per-fetch deadlines, and checksum verification with automatic refetch on
-//! corruption. Every recovery action is instrumented through
-//! `lobster-metrics` so a trace shows each injected fault and the engine
-//! healing around it.
+//! corruption. Payloads are verified against a per-run checksum manifest
+//! (8 B per sample, filled from the canonical stream on an id's first
+//! fetch), so a miss costs one checksum pass over the fetched bytes. Every
+//! recovery action is instrumented through `lobster-metrics` so a trace
+//! shows each injected fault and the engine healing around it.
 //!
 //! The contract to callers is simple: `fetch` returns verified canonical
 //! bytes, or [`FetchError::Cancelled`] when the engine is shutting down.
@@ -13,7 +15,7 @@
 //! eventually converges while a single slow fetch can never wedge a loader
 //! forever.
 
-use crate::store::{sample_checksum, FetchError, SyntheticStore};
+use crate::store::{canonical_and_payload_checksums, sample_checksum, FetchError, SyntheticStore};
 use lobster_data::SampleId;
 use lobster_metrics::{FlightEvent, FlightFault, Instruments};
 use lobster_sim::derive_seed2;
@@ -68,6 +70,10 @@ pub struct ResilientStore {
     /// One escalation dump per store lifetime: set by the first fetch
     /// whose deadline round reaches [`ESCALATION_DUMP_ROUND`].
     escalation_dumped: AtomicBool,
+    /// Checksum manifest: each sample's canonical checksum, indexed by id,
+    /// 0 = not yet known. Filled from the canonical stream — never from
+    /// fetched bytes — so memoising it cannot admit a corrupted payload.
+    manifest: Box<[AtomicU64]>,
 }
 
 impl ResilientStore {
@@ -76,7 +82,11 @@ impl ResilientStore {
         policy: RetryPolicy,
         instruments: Instruments,
     ) -> ResilientStore {
+        let manifest = (0..store.dataset().len())
+            .map(|_| AtomicU64::new(0))
+            .collect();
         ResilientStore {
+            manifest,
             store,
             policy,
             instruments,
@@ -114,11 +124,27 @@ impl ResilientStore {
         });
     }
 
+    /// `(expected, actual)` checksums of a payload fetched for `id`. The
+    /// expected one comes from the manifest; an id's first fetch fills its
+    /// slot from the canonical stream, hashed in the same pass as the
+    /// payload. Racing first fetches store the same value, and the slot
+    /// publishes nothing else, so `Relaxed` suffices.
+    fn checksums(&self, id: SampleId, len: usize, payload: &[u8]) -> (u64, u64) {
+        let slot = &self.manifest[id.index()];
+        match slot.load(Ordering::Relaxed) {
+            0 => {
+                let (want, got) = canonical_and_payload_checksums(id, len, payload);
+                slot.store(want, Ordering::Relaxed);
+                (want, got)
+            }
+            want => (want, sample_checksum(payload)),
+        }
+    }
+
     /// Fetch `id`, retrying until the payload verifies against its canonical
     /// checksum. Only engine shutdown escapes as an error.
     pub fn fetch(&self, id: SampleId) -> Result<Vec<u8>, FetchError> {
         let len = self.store.dataset().size_of(id) as usize;
-        let want = sample_checksum(&crate::store::sample_bytes(id, len));
         let mut first_attempt = true;
         // After a PeerDown the fetch goes straight at the PFS for the rest
         // of its life: the peer's crash window is tick-scoped, retrying the
@@ -159,7 +185,8 @@ impl ResilientStore {
                 };
                 match result {
                     Ok(bytes) => {
-                        if sample_checksum(&bytes) == want {
+                        let (want, got) = self.checksums(id, len, &bytes);
+                        if got == want {
                             if !first_attempt {
                                 let ts = self.instruments.now_us();
                                 self.instruments.trace(|| {
@@ -373,12 +400,15 @@ mod tests {
             plan,
         ));
         let rs = ResilientStore::new(store, policy(), Instruments::disabled());
-        for i in 0..32u32 {
-            let id = SampleId(i);
-            let want = sample_bytes(id, rs.inner().dataset().size_of(id) as usize);
-            // Every delivered payload is canonical even though half the raw
-            // fetches come back damaged.
-            assert_eq!(rs.fetch_verified(id), want);
+        // Every delivered payload is canonical even though half the raw
+        // fetches come back damaged: on the first pass, which fills the
+        // checksum manifest, and on the second, which verifies against it.
+        for _ in 0..2 {
+            for i in 0..64u32 {
+                let id = SampleId(i);
+                let want = sample_bytes(id, rs.inner().dataset().size_of(id) as usize);
+                assert_eq!(rs.fetch_verified(id), want, "sample {i}");
+            }
         }
         assert!(rs.stats().corruptions_detected > 0);
         assert_eq!(

@@ -24,12 +24,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Generate the canonical bytes of a sample: a SplitMix64 stream seeded by
-/// the sample id. Cheap, deterministic, and incompressible enough to defeat
-/// accidental shortcuts.
+/// The generator of a sample's canonical bytes: SplitMix64 seeded by the
+/// sample id, each word laid out little-endian. The one stream
+/// [`sample_bytes`] and [`canonical_checksum`] share.
+fn sample_rng(id: SampleId) -> SplitMix64 {
+    SplitMix64::new(0x5A4D_0000_0000_0000 ^ id.0 as u64)
+}
+
+/// Generate the canonical bytes of a sample. Cheap, deterministic, and
+/// incompressible enough to defeat accidental shortcuts.
 pub fn sample_bytes(id: SampleId, len: usize) -> Vec<u8> {
-    let mut rng = SplitMix64::new(0x5A4D_0000_0000_0000 ^ id.0 as u64);
-    let mut out = Vec::with_capacity(len);
+    let mut rng = sample_rng(id);
+    // Room for whole words, so the last one never reallocates.
+    let mut out = Vec::with_capacity(len.next_multiple_of(8));
     while out.len() < len {
         out.extend_from_slice(&rng.next_u64().to_le_bytes());
     }
@@ -37,15 +44,66 @@ pub fn sample_bytes(id: SampleId, len: usize) -> Vec<u8> {
     out
 }
 
-/// Reference checksum of a sample's canonical bytes (FNV-1a), used by tests
-/// and the preprocessing transform to verify integrity end-to-end.
-pub fn sample_checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+/// Stream the `len` canonical bytes of a sample to `emit`, in order, the
+/// last word cut short.
+fn sample_stream(id: SampleId, len: usize, mut emit: impl FnMut(&[u8])) {
+    let mut rng = sample_rng(id);
+    for _ in 0..len / 8 {
+        emit(&rng.next_u64().to_le_bytes());
+    }
+    let tail = len % 8;
+    if tail > 0 {
+        emit(&rng.next_u64().to_le_bytes()[..tail]);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a running FNV-1a state.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// Reference checksum of a sample's canonical bytes (FNV-1a), used by tests
+/// and the preprocessing transform to verify integrity end-to-end.
+pub fn sample_checksum(bytes: &[u8]) -> u64 {
+    fnv1a(FNV_OFFSET, bytes)
+}
+
+/// `sample_checksum(&sample_bytes(id, len))` without building the bytes:
+/// the sample's word stream goes straight through FNV-1a, with no
+/// allocation.
+pub fn canonical_checksum(id: SampleId, len: usize) -> u64 {
+    let mut h = FNV_OFFSET;
+    sample_stream(id, len, |chunk| h = fnv1a(h, chunk));
+    h
+}
+
+/// `(canonical_checksum(id, len), sample_checksum(payload))` in one pass
+/// when the payload has the canonical length: the two FNV-1a chains are
+/// independent, so the core runs them side by side for about the price of
+/// one.
+pub(crate) fn canonical_and_payload_checksums(
+    id: SampleId,
+    len: usize,
+    payload: &[u8],
+) -> (u64, u64) {
+    if payload.len() != len {
+        return (canonical_checksum(id, len), sample_checksum(payload));
+    }
+    let (mut want, mut got) = (FNV_OFFSET, FNV_OFFSET);
+    let mut rest = payload;
+    sample_stream(id, len, |chunk| {
+        let (head, tail) = rest.split_at(chunk.len());
+        want = fnv1a(want, chunk);
+        got = fnv1a(got, head);
+        rest = tail;
+    });
+    (want, got)
 }
 
 /// Why a [`SyntheticStore::try_fetch`] attempt did not return bytes.
@@ -412,6 +470,41 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 333);
+    }
+
+    #[test]
+    fn canonical_checksum_matches_the_materialised_bytes() {
+        let lens = (0..=17).chain([1023, 1024, 1025, 4 << 10, 128 << 10]);
+        for len in lens {
+            for id in [SampleId(0), SampleId(7), SampleId(u32::MAX)] {
+                assert_eq!(
+                    canonical_checksum(id, len),
+                    sample_checksum(&sample_bytes(id, len)),
+                    "sample {} len {len}",
+                    id.0
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_checksums_match_the_separate_ones() {
+        let id = SampleId(3);
+        let mut payload = sample_bytes(id, 1029);
+        let canonical = canonical_checksum(id, 1029);
+        assert_eq!(
+            canonical_and_payload_checksums(id, 1029, &payload),
+            (canonical, canonical)
+        );
+        payload[1028] ^= 1;
+        assert_eq!(
+            canonical_and_payload_checksums(id, 1029, &payload),
+            (canonical, sample_checksum(&payload))
+        );
+        assert_eq!(
+            canonical_and_payload_checksums(id, 1029, &payload[..1000]),
+            (canonical, sample_checksum(&payload[..1000]))
+        );
     }
 
     #[test]

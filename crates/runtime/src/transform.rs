@@ -11,10 +11,15 @@
 /// augmentation pipelines.
 pub fn preprocess(input: &[u8], work_factor: u32) -> Vec<u8> {
     let mut out = input.to_vec();
-    for pass in 0..work_factor.max(1) {
-        mix(&mut out, pass);
-    }
+    mix_passes(&mut out, work_factor);
     out
+}
+
+/// The `work_factor` mixing passes (at least one) over `buf`, in place.
+fn mix_passes(buf: &mut [u8], work_factor: u32) {
+    for pass in 0..work_factor.max(1) {
+        mix(buf, pass);
+    }
 }
 
 /// One in-place mixing pass: XOR with a position- and pass-keyed stream.
@@ -28,9 +33,18 @@ fn mix(buf: &mut [u8], pass: u32) {
     }
 }
 
-/// Invert [`preprocess`] (tests only — consumers never need it).
+/// Invert [`preprocess`] in place: the passes are self-inverse, so this
+/// runs the same passes again. The engine's consumers own each cooked
+/// buffer and restore it here before fingerprinting it, with no copy.
+pub fn invert_in_place(buf: &mut [u8], work_factor: u32) {
+    mix_passes(buf, work_factor);
+}
+
+/// Invert [`preprocess`] into a fresh buffer.
 pub fn invert(output: &[u8], work_factor: u32) -> Vec<u8> {
-    preprocess(output, work_factor)
+    let mut out = output.to_vec();
+    invert_in_place(&mut out, work_factor);
+    out
 }
 
 #[cfg(test)]
@@ -41,11 +55,12 @@ mod tests {
 
     #[test]
     fn transform_is_invertible() {
-        let original = sample_bytes(SampleId(42), 1024);
-        for wf in [1u32, 2, 5] {
-            let cooked = preprocess(&original, wf);
-            let restored = invert(&cooked, wf);
-            assert_eq!(restored, original, "work_factor {wf}");
+        let original = sample_bytes(SampleId(42), 1027);
+        for wf in [1u32, 2, 5, 8] {
+            let mut cooked = preprocess(&original, wf);
+            assert_eq!(invert(&cooked, wf), original, "work_factor {wf}");
+            invert_in_place(&mut cooked, wf);
+            assert_eq!(cooked, original, "work_factor {wf}, in place");
         }
     }
 

@@ -5,8 +5,8 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! * [`sim`] — deterministic discrete-event kernel (time, events, PRNGs,
-//!   fluid links, server pools).
+//! * [`sim`] — deterministic discrete-event kernel (simulated time, a
+//!   typed event queue, seeded PRNGs).
 //! * [`data`] — synthetic ImageNet-scale datasets, seeded distributed
 //!   shuffling, and the reuse-distance oracle.
 //! * [`storage`] — the three-tier storage hierarchy (`T_l`, `T_r`,
