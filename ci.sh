@@ -1,7 +1,8 @@
-#!/usr/bin/env sh
-# Local CI gate — the same steps .github/workflows/ci.yml runs.
+#!/usr/bin/env bash
+# The CI gate; .github/workflows/ci.yml runs this script.
 # Usage: ./ci.sh
-set -eu
+# pipefail: a gate binary piped into `tee` must still fail the gate.
+set -euo pipefail
 
 echo "== fmt =="
 cargo fmt --all -- --check

@@ -1,7 +1,7 @@
 //! Controller decision log.
 //!
-//! Every adaptive thread-reassignment — the live engine's controller tick
-//! and every Algorithm 1 solve inside `LobsterPolicy` — is captured as a
+//! Every adaptive thread-reassignment — an elastic pool's role flip and
+//! every Algorithm 1 solve inside `LobsterPolicy` — is captured as a
 //! [`DecisionRecord`]: the inputs the controller saw (per-queue load and
 //! the model's predicted per-queue cost), the thread vector it produced,
 //! and the search's convergence status. The log is bounded; overflow is
@@ -15,8 +15,6 @@ use serde::{Deserialize, Serialize};
 /// Which controller produced a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DecisionSource {
-    /// The live runtime engine's periodic reassignment tick.
-    EngineController,
     /// An Algorithm 1 (binary-search thread assignment) solve in a policy.
     Algorithm1,
     /// The elastic worker pool flipping preproc↔loader roles at an
@@ -33,8 +31,9 @@ pub struct DecisionRecord {
     pub source: DecisionSource,
     /// Node the decision applies to (0 for the single-node runtime).
     pub node: u32,
-    /// Input: observed per-queue load (queue depth for the live engine,
-    /// queued bytes-cost seconds for the simulator).
+    /// Input: observed per-queue load (cumulative preprocessing seconds
+    /// per consumer for the live engine, queued bytes-cost seconds for the
+    /// simulator).
     pub queue_loads: Vec<f64>,
     /// Input: model-predicted per-queue cost in seconds.
     pub predicted_cost: Vec<f64>,

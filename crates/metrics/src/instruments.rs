@@ -222,14 +222,6 @@ impl Instruments {
         })
     }
 
-    /// Register a legacy metric name as a snapshot alias of a canonical
-    /// one; no-op when disabled.
-    pub fn metric_alias(&self, legacy: &str, canonical: &str) {
-        if let Some(inner) = &self.inner {
-            inner.registry.alias(legacy, canonical);
-        }
-    }
-
     /// Decisions logged so far (empty when disabled).
     pub fn decisions(&self) -> Vec<DecisionRecord> {
         self.inner
@@ -569,7 +561,7 @@ mod tests {
         let ins = Instruments::enabled();
         ins.record_decision(DecisionRecord {
             ts_us: 5,
-            source: DecisionSource::EngineController,
+            source: DecisionSource::ElasticPool,
             node: 0,
             queue_loads: vec![2.0],
             predicted_cost: vec![0.1],

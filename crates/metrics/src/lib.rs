@@ -36,9 +36,7 @@
 //! subsystem — `engine.cache_hits`, `sim.evictions`, `analysis.gap_us`.
 //! No bare names (`worker_panics`), no camelCase, no uppercase. The
 //! registry debug-asserts [`registry::is_canonical_metric_name`] on every
-//! registration; renamed metrics keep their previous spelling for one
-//! release as snapshot aliases (kind `"alias"`) via
-//! [`MetricRegistry::alias`].
+//! registration.
 
 pub mod analysis;
 pub mod decisions;

@@ -11,10 +11,7 @@
 //! metric name, e.g. `engine.cache_hits`, `sim.evictions`,
 //! `analysis.gap_us` (see the crate-root docs and the README's
 //! Observability section). [`is_canonical_metric_name`] is the machine
-//! check; the registry debug-asserts it on every registration. Renamed
-//! metrics keep their legacy spelling for one release via
-//! [`MetricRegistry::alias`], which mirrors the canonical value into
-//! snapshots under the old name with kind `"alias"`.
+//! check; the registry debug-asserts it on every registration.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,28 +95,11 @@ pub fn is_canonical_metric_name(name: &str) -> bool {
 #[derive(Default)]
 pub struct MetricRegistry {
     cells: Mutex<Vec<(String, Cell)>>,
-    /// `(legacy, canonical)` pairs mirrored into snapshots.
-    aliases: Mutex<Vec<(String, String)>>,
 }
 
 impl MetricRegistry {
     pub fn new() -> MetricRegistry {
         MetricRegistry::default()
-    }
-
-    /// Keep `legacy` visible in snapshots as an alias of `canonical` (one
-    /// release of grace for renamed metrics). The alias resolves at
-    /// snapshot time, so it works whether or not `canonical` is registered
-    /// yet; unresolved aliases are simply omitted.
-    pub fn alias(&self, legacy: &str, canonical: &str) {
-        debug_assert!(
-            is_canonical_metric_name(canonical),
-            "alias target {canonical:?} must itself be canonical"
-        );
-        let mut aliases = self.aliases.lock().unwrap_or_else(|e| e.into_inner());
-        if !aliases.iter().any(|(l, _)| l == legacy) {
-            aliases.push((legacy.to_string(), canonical.to_string()));
-        }
     }
 
     /// Get or create the counter named `name`. Panics if `name` already
@@ -192,26 +172,9 @@ impl MetricRegistry {
                 },
             })
             .collect();
-        let aliases = self.aliases.lock().unwrap_or_else(|e| e.into_inner());
-        for (legacy, canonical) in aliases.iter() {
-            let Some((_, cell)) = cells.iter().find(|(n, _)| n == canonical) else {
-                continue;
-            };
-            entries.push(MetricEntry {
-                name: legacy.clone(),
-                kind: "alias".to_string(),
-                value: match cell {
-                    Cell::Counter(c) => c.value() as i64,
-                    Cell::Gauge(g) => g.value(),
-                },
-            });
-        }
-        // Sort by (name, kind): the name alone is not a total order because
-        // an alias may share its name with a differently-spelled canonical
-        // metric registered later, and a registration-order tie-break would
-        // make sidecar diffs (and the BENCH trajectory files built from
-        // them) depend on which thread touched the registry first.
-        entries.sort_by(|a, b| a.name.cmp(&b.name).then_with(|| a.kind.cmp(&b.kind)));
+        // Names are unique (a name is a counter or a gauge, never both), so
+        // the name alone is a total order.
+        entries.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot { entries }
     }
 }
@@ -336,25 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn aliases_mirror_the_canonical_value_in_snapshots() {
-        let reg = MetricRegistry::new();
-        reg.counter("engine.worker_panics").add(4);
-        reg.alias("worker_panics", "engine.worker_panics");
-        reg.alias("ghost", "engine.never_registered");
-        let snap = reg.snapshot();
-        assert_eq!(snap.get("worker_panics"), Some(4));
-        assert_eq!(
-            snap.entries
-                .iter()
-                .find(|e| e.name == "worker_panics")
-                .map(|e| e.kind.as_str()),
-            Some("alias")
-        );
-        assert_eq!(snap.get("ghost"), None, "unresolved aliases are omitted");
-        assert_eq!(snap.get("engine.worker_panics"), Some(4));
-    }
-
-    #[test]
     fn snapshot_order_is_independent_of_registration_order() {
         // Regression test for sidecar / BENCH stability: two registries fed
         // the same metrics in different orders (as racing threads would)
@@ -363,10 +307,8 @@ mod tests {
         a.counter("engine.fetches").add(3);
         a.gauge("engine.queue_depth").set(2);
         a.counter("engine.retries").add(1);
-        a.alias("fetches", "engine.fetches");
 
         let b = MetricRegistry::new();
-        b.alias("fetches", "engine.fetches");
         b.counter("engine.retries").add(1);
         b.gauge("engine.queue_depth").set(2);
         b.counter("engine.fetches").add(3);

@@ -80,9 +80,9 @@ pub struct TickScalars {
     pub retries: u64,
     /// Samples delivered to consumers this tick.
     pub delivered: u64,
-    /// Elastic workers currently in the preprocessing role.
+    /// Pool workers currently in the preprocessing role.
     pub preproc_workers: u32,
-    /// Elastic workers currently in the loader role.
+    /// Pool workers currently in the loader role.
     pub loader_workers: u32,
     /// Bitmask of down nodes (bit n set ⇒ node n is crashed).
     pub down_mask: u64,

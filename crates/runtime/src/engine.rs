@@ -2,12 +2,13 @@
 //!
 //! This is the reproduction's analog of the paper's online C++ runtime: a
 //! multi-queue loading stage (one request queue per consumer, §4.2), a
-//! preprocessing worker pool, a shared capacity-bounded cache, and consumer
+//! preprocessing stage, a shared capacity-bounded cache, and consumer
 //! threads standing in for GPUs (they assemble mini-batches, "train" for a
 //! fixed duration, and synchronize on a barrier like a gradient allreduce).
-//! An optional adaptive controller re-assigns loader workers to queues in
-//! proportion to measured queue pressure — Lobster's multi-queue thread
-//! assignment, driven by live measurements instead of the model.
+//! Loading and preprocessing share one worker pool (§4.1): each worker reads
+//! its job off a [`RoleBoard`]. With [`EngineConfig::elastic`] off the board
+//! keeps the configured loader/preproc split for the whole run; with it on,
+//! the elastic controller re-rolls the split at iteration boundaries.
 //!
 //! All store I/O goes through the self-healing [`ResilientStore`] path:
 //! transient errors are retried with backoff + jitter, stalls are bounded
@@ -59,18 +60,15 @@ pub struct EngineConfig {
     pub work_factor: u32,
     /// Simulated training duration per iteration.
     pub train: Duration,
-    /// Adaptive multi-queue assignment (Lobster) vs static round-robin
-    /// (PyTorch/DALI-style fixed pools).
-    pub adaptive: bool,
     /// Epochs to run.
     pub epochs: u64,
     /// Shuffle seed.
     pub seed: u64,
     /// Retry/backoff/deadline parameters for the resilient fetch path.
     pub retry: RetryPolicy,
-    /// Elastic worker pool (§4.1): merge the loader and preprocessing
-    /// pools into one pool of `loader_threads + preproc_threads` workers
-    /// whose roles the controller flips at iteration boundaries.
+    /// Elastic worker pool (§4.1): the elastic controller flips the roles
+    /// of the `loader_threads + preproc_threads` pool workers at iteration
+    /// boundaries. Off, the pool keeps the configured split.
     pub elastic: bool,
     /// Stress mode for the elastic pool: force one role swap on every
     /// tick where the split would otherwise stand still.
@@ -124,7 +122,6 @@ impl Default for EngineConfig {
             cache_bytes: 64 << 20,
             work_factor: 1,
             train: Duration::from_millis(2),
-            adaptive: true,
             epochs: 2,
             seed: 42,
             retry: RetryPolicy::default(),
@@ -243,78 +240,6 @@ struct Cooked {
     bytes: Vec<u8>,
 }
 
-/// Pure helper: distribute `workers` loader threads across queues in
-/// proportion to their pending *cost* — queue depth weighted by the
-/// measured per-request service time (§4.2's "data loading intensity",
-/// driven by live measurements instead of the model). `costs_per_req` may
-/// be empty or zero-filled, in which case depths alone decide. Returns a
-/// queue index per worker.
-pub fn compute_weighted_assignment(
-    depths: &[usize],
-    costs_per_req: &[f64],
-    workers: usize,
-) -> Vec<usize> {
-    let costs: Vec<f64> = depths
-        .iter()
-        .enumerate()
-        .map(|(q, &d)| {
-            let unit = costs_per_req.get(q).copied().unwrap_or(0.0);
-            d as f64 * if unit > 0.0 { unit } else { 1.0 }
-        })
-        .collect();
-    assignment_from_costs(&costs, workers)
-}
-
-/// Distribute `workers` loader threads across queues in proportion to
-/// their pending depths alone.
-pub fn compute_assignment(depths: &[usize], workers: usize) -> Vec<usize> {
-    let costs: Vec<f64> = depths.iter().map(|&d| d as f64).collect();
-    assignment_from_costs(&costs, workers)
-}
-
-fn assignment_from_costs(costs: &[f64], workers: usize) -> Vec<usize> {
-    let queues = costs.len().max(1);
-    let total: f64 = costs.iter().filter(|c| c.is_finite()).sum();
-    if total <= 0.0 {
-        // Every queue is idle: spread round-robin rather than letting the
-        // proportional path's rounding pile the pool onto the low queues.
-        return (0..workers).map(|w| w % queues).collect();
-    }
-    let alloc = lobster_core::proportional_allocation(costs, workers as u32);
-    if alloc.iter().map(|&a| a as usize).sum::<usize>() > workers {
-        // More busy queues than workers: `proportional_allocation` floors
-        // every busy queue at one thread, which used to truncate to the
-        // *first* queues regardless of load. Cover the deepest first.
-        let mut order: Vec<usize> = (0..costs.len()).filter(|&q| costs[q] > 0.0).collect();
-        order.sort_by(|&a, &b| {
-            costs[b]
-                .partial_cmp(&costs[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        return (0..workers).map(|w| order[w % order.len()]).collect();
-    }
-    assignment_from_alloc(&alloc, costs.len(), workers)
-}
-
-fn assignment_from_alloc(alloc: &[u32], queues: usize, workers: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(workers);
-    for (queue, &count) in alloc.iter().enumerate() {
-        for _ in 0..count {
-            if out.len() < workers {
-                out.push(queue);
-            }
-        }
-    }
-    // Any leftover workers (rounding) go round-robin.
-    let mut q = 0;
-    while out.len() < workers {
-        out.push(q % queues.max(1));
-        q += 1;
-    }
-    out
-}
-
 /// Publish a controller tick to the shared state the workers read: the
 /// role board mirrors the controller's role vector, and each loader-role
 /// worker gets its primary queue by expanding the per-queue counts of
@@ -346,11 +271,33 @@ fn apply_elastic_decision(
     }
 }
 
+/// How long a pool worker sleeps after a pass that found no work in its
+/// role.
+const IDLE_NAP: Duration = Duration::from_micros(100);
+
+/// `try_recv` over the request queues: serve `primary` first, then steal
+/// from the rest. `Disconnected` only once every queue is disconnected.
+fn next_request(req_rx: &[Receiver<Req>], primary: usize) -> Result<Req, TryRecvError> {
+    let n = req_rx.len();
+    let mut all_disconnected = true;
+    for offset in 0..n {
+        match req_rx[(primary + offset) % n].try_recv() {
+            Ok(req) => return Ok(req),
+            Err(TryRecvError::Empty) => all_disconnected = false,
+            Err(TryRecvError::Disconnected) => {}
+        }
+    }
+    Err(if all_disconnected {
+        TryRecvError::Disconnected
+    } else {
+        TryRecvError::Empty
+    })
+}
+
 /// One resilient fetch through the cache, with poisoned-worker
 /// containment (the panic is caught, counted, and the request
 /// re-executed). `None` means the store was cancelled and the calling
-/// worker should unwind. Shared by the static loader pool and the
-/// elastic pool's loader-role pass.
+/// worker should unwind.
 #[allow(clippy::too_many_arguments)]
 fn fetch_one(
     req: &Req,
@@ -362,7 +309,6 @@ fn fetch_one(
     panics_m: &lobster_metrics::Counter,
     fetches_m: &lobster_metrics::Counter,
     stage_accum: &StageAccum,
-    service_ns: &[AtomicU64],
     ins: &Instruments,
 ) -> Option<Arc<Vec<u8>>> {
     let t0 = Instant::now();
@@ -434,16 +380,6 @@ fn fetch_one(
         ins.flight_fetch_us(flight_tier, t0.elapsed().as_micros() as u64);
         ins.telemetry_fetch_us(flight_tier, t0.elapsed().as_micros() as u64);
     }
-    // EWMA (α = 1/4) of this queue's service cost.
-    let obs = t0.elapsed().as_nanos() as u64;
-    let cell = &service_ns[req.consumer];
-    let prev = cell.load(Ordering::Relaxed);
-    let next = if prev == 0 {
-        obs
-    } else {
-        prev - prev / 4 + obs / 4
-    };
-    cell.store(next, Ordering::Relaxed);
     Some(bytes)
 }
 
@@ -493,7 +429,7 @@ pub fn run(store: Arc<SyntheticStore>, cfg: EngineConfig) -> EngineReport {
 /// stage is instrumented — fetch spans (with storage tier), queue
 /// enqueue/dequeue instants (with depth), preprocess spans, barrier-wait
 /// spans, cache hit/miss/evict counters, fault/recovery instants, and one
-/// [`DecisionRecord`] per adaptive controller tick. With
+/// [`DecisionRecord`] per elastic role flip. With
 /// [`Instruments::disabled`] this is exactly [`run`].
 pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments) -> EngineReport {
     assert!(cfg.consumers > 0 && cfg.batch_size > 0);
@@ -510,16 +446,6 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
     let decisions_m = ins.counter("engine.controller_decisions");
     let barrier_m = ins.counter("engine.barrier_waits");
     let panics_m = ins.counter("engine.worker_panics");
-    // One release of snapshot-alias grace for the pre-convention bare
-    // spellings of the fault counters (now `engine.*`).
-    for (legacy, canonical) in [
-        ("worker_panics", "engine.worker_panics"),
-        ("retries", "engine.retries"),
-        ("corruptions_detected", "engine.corruptions_detected"),
-        ("deadline_exceeded", "engine.deadline_exceeded"),
-    ] {
-        ins.metric_alias(legacy, canonical);
-    }
 
     // Tick-deterministic membership: compile the crash schedule once and
     // let consumer 0 apply each tick's down-mask at the iteration
@@ -571,22 +497,19 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
     }
     let (raw_tx, raw_rx) = bounded::<Raw>(4 * cfg.batch_size * cfg.consumers);
 
-    // Total worker pool: split statically, or elastically re-rolled.
+    // One worker pool: each worker loads or preprocesses as the role board
+    // says. Without `elastic` the board keeps the configured split.
     let pool = cfg.loader_threads + cfg.preproc_threads;
-    // Loader→queue assignment, rewritten by the controller. In elastic
-    // mode every pool slot has an entry (any worker may become a loader).
+    // Each pool slot's primary request queue when it loads; only the
+    // elastic controller rewrites it.
     let assignment: Arc<Vec<AtomicUsize>> = Arc::new(
-        (0..if cfg.elastic {
-            pool
-        } else {
-            cfg.loader_threads
-        })
+        (0..pool)
             .map(|w| AtomicUsize::new(w % cfg.consumers))
             .collect(),
     );
-    // Elastic-pool state: the shared role table, the "feed is exhausted"
-    // latch that lets loader-role workers hand their raw senders back, and
-    // the per-tick decision log surfaced in the report.
+    // Pool state: the shared role table, the "feed is exhausted" latch that
+    // lets loader-role workers hand their raw senders back, and the
+    // per-tick elastic decision log surfaced in the report.
     let board = Arc::new(RoleBoard::new(cfg.loader_threads, cfg.preproc_threads));
     let feed_done = Arc::new(AtomicBool::new(false));
     let role_flip_log: Arc<parking_lot::Mutex<Vec<ElasticDecision>>> =
@@ -625,10 +548,6 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
     } else {
         None
     };
-    // Measured per-queue service cost in nanoseconds (EWMA, α = 1/4),
-    // updated by the loaders and consumed by the controller.
-    let service_ns: Arc<Vec<AtomicU64>> =
-        Arc::new((0..cfg.consumers).map(|_| AtomicU64::new(0)).collect());
     let done = Arc::new(AtomicBool::new(false));
     let aborted = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(AbortableBarrier::new(cfg.consumers));
@@ -705,68 +624,50 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
         }
         drop(req_tx); // feeder holds the only request senders now
 
-        if cfg.elastic {
-            // ---- Elastic pool: every worker can load or preprocess. ----
-            // A worker reads its role off the shared board at the top of
-            // every serve pass: loader-role workers pull requests and push
-            // raw bytes, preproc-role workers drain the raw channel. Each
-            // worker holds its own raw sender inside an `Option` and hands
-            // it back once the feed is exhausted (`feed_done`), so the raw
-            // channel disconnects and the pool drains without a join.
-            for w in 0..pool {
-                let req_rx = req_rx.clone();
-                let raw_rx = raw_rx.clone();
-                let raw_tx = raw_tx.clone();
-                let cooked_tx = cooked_tx.clone();
-                let cache = Arc::clone(&cache);
-                let clock = Arc::clone(&clock);
-                let rstore = Arc::clone(&rstore);
-                let assignment = Arc::clone(&assignment);
-                let service_ns = Arc::clone(&service_ns);
-                let worker_panics = Arc::clone(&worker_panics);
-                let stage_accum = Arc::clone(&stage_accum);
-                let board = Arc::clone(&board);
-                let feed_done = Arc::clone(&feed_done);
-                let done = Arc::clone(&done);
-                let cfg2 = cfg.clone();
-                let sample_costs = Arc::clone(&sample_costs);
-                let ins = ins.clone();
-                let fetches_m = fetches_m.clone();
-                let panics_m = panics_m.clone();
-                scope.spawn(move |_| {
-                    let mut raw_tx = Some(raw_tx);
-                    loop {
-                        if raw_tx.is_some() && feed_done.load(Ordering::Relaxed) {
-                            raw_tx = None;
-                        }
-                        let loading = raw_tx.is_some() && board.role(w) == ROLE_LOADER;
-                        if loading {
-                            // Serve the assigned queue first, then steal.
-                            let primary = assignment[w].load(Ordering::Relaxed) % req_rx.len();
-                            let mut got = None;
-                            let mut all_disconnected = true;
-                            let n = req_rx.len();
-                            for offset in 0..n {
-                                let q = (primary + offset) % n;
-                                match req_rx[q].try_recv() {
-                                    Ok(r) => {
-                                        got = Some(r);
-                                        all_disconnected = false;
-                                        break;
-                                    }
-                                    Err(TryRecvError::Empty) => all_disconnected = false,
-                                    Err(TryRecvError::Disconnected) => {}
-                                }
-                            }
-                            match got {
-                                Some(req) => {
+        // ---- Worker pool: every worker can load or preprocess. ----
+        // A worker reads its role off the shared board at the top of every
+        // pass: loader-role workers pull requests and push raw bytes,
+        // preproc-role workers drain the raw channel. Each worker holds its
+        // own raw sender inside an `Option` and hands it back once the feed
+        // is exhausted (`feed_done`), so the raw channel disconnects and the
+        // pool drains without a join. A pass that finds no work naps.
+        for w in 0..pool {
+            let req_rx = req_rx.clone();
+            let raw_rx = raw_rx.clone();
+            let raw_tx = raw_tx.clone();
+            let cooked_tx = cooked_tx.clone();
+            let cache = Arc::clone(&cache);
+            let clock = Arc::clone(&clock);
+            let rstore = Arc::clone(&rstore);
+            let assignment = Arc::clone(&assignment);
+            let worker_panics = Arc::clone(&worker_panics);
+            let stage_accum = Arc::clone(&stage_accum);
+            let board = Arc::clone(&board);
+            let feed_done = Arc::clone(&feed_done);
+            let done = Arc::clone(&done);
+            let cfg2 = cfg.clone();
+            let sample_costs = Arc::clone(&sample_costs);
+            let ins = ins.clone();
+            let fetches_m = fetches_m.clone();
+            let panics_m = panics_m.clone();
+            scope.spawn(move |_| {
+                let mut raw_tx = Some(raw_tx);
+                loop {
+                    if raw_tx.is_some() && feed_done.load(Ordering::Relaxed) {
+                        raw_tx = None;
+                    }
+                    let worked = match raw_tx.as_ref() {
+                        Some(tx) if board.role(w) == ROLE_LOADER => {
+                            let primary = assignment[w].load(Ordering::Relaxed);
+                            match next_request(&req_rx, primary) {
+                                Ok(req) => {
                                     ins.trace(|| {
                                         TraceEvent::instant("queue_dequeue", "queue", ins.now_us())
                                             .tid(req.consumer as u32)
                                             .arg_u("depth", req_rx[req.consumer].len() as u64)
                                             .arg_u("worker", w as u64)
                                     });
-                                    let bytes = match fetch_one(
+                                    let Some(bytes) = fetch_one(
                                         &req,
                                         w,
                                         &cache,
@@ -776,11 +677,9 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
                                         &panics_m,
                                         &fetches_m,
                                         &stage_accum,
-                                        &service_ns,
                                         &ins,
-                                    ) {
-                                        Some(b) => b,
-                                        None => return, // store cancelled
+                                    ) else {
+                                        return; // store cancelled
                                     };
                                     // A bounded send could block forever if
                                     // the run aborts while the raw channel is
@@ -790,7 +689,6 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
                                     // latch instead.
                                     let mut item = Raw { req, bytes };
                                     loop {
-                                        let tx = raw_tx.as_ref().expect("loading implies sender");
                                         match tx.send_timeout(item, Duration::from_millis(5)) {
                                             Ok(()) => break,
                                             Err(SendTimeoutError::Timeout(it)) => {
@@ -802,229 +700,71 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
                                             Err(SendTimeoutError::Disconnected(_)) => return,
                                         }
                                     }
+                                    true
                                 }
-                                None if all_disconnected => {
+                                Err(TryRecvError::Empty) => false,
+                                Err(TryRecvError::Disconnected) => {
                                     // Feed exhausted: latch it for the whole
                                     // pool and fall through to preproc mode.
                                     feed_done.store(true, Ordering::Relaxed);
                                     raw_tx = None;
+                                    true
                                 }
-                                None => std::thread::sleep(Duration::from_micros(50)),
                             }
-                        } else {
-                            match raw_rx.try_recv() {
-                                Ok(raw) => {
-                                    let ts_us = ins.now_us();
-                                    let t0 = Instant::now();
-                                    let cooked = preprocess(
-                                        &raw.bytes,
-                                        cfg2.work_factor_at(raw.req.iter)
-                                            .saturating_mul(sample_costs[raw.req.sample.index()]),
+                        }
+                        _ => match raw_rx.try_recv() {
+                            Ok(raw) => {
+                                let ts_us = ins.now_us();
+                                let t0 = Instant::now();
+                                let cooked = preprocess(
+                                    &raw.bytes,
+                                    cfg2.work_factor_at(raw.req.iter)
+                                        .saturating_mul(sample_costs[raw.req.sample.index()]),
+                                );
+                                ins.trace(|| {
+                                    TraceEvent::span(
+                                        "preprocess",
+                                        "compute",
+                                        ts_us,
+                                        ins.now_us() - ts_us,
+                                    )
+                                    .tid(w as u32)
+                                    .arg_u("consumer", raw.req.consumer as u64)
+                                    .arg_u("bytes", raw.bytes.len() as u64)
+                                });
+                                if ins.is_enabled() {
+                                    stage_accum.preproc_ns[raw.req.consumer].fetch_add(
+                                        t0.elapsed().as_nanos() as u64,
+                                        Ordering::Relaxed,
                                     );
-                                    ins.trace(|| {
-                                        TraceEvent::span(
-                                            "preprocess",
-                                            "compute",
-                                            ts_us,
-                                            ins.now_us() - ts_us,
-                                        )
-                                        .tid(w as u32)
-                                        .arg_u("consumer", raw.req.consumer as u64)
-                                        .arg_u("bytes", raw.bytes.len() as u64)
-                                    });
-                                    if ins.is_enabled() {
-                                        stage_accum.preproc_ns[raw.req.consumer].fetch_add(
-                                            t0.elapsed().as_nanos() as u64,
-                                            Ordering::Relaxed,
-                                        );
-                                    }
-                                    if cooked_tx[raw.req.consumer]
-                                        .send(Cooked {
-                                            iter: raw.req.iter,
-                                            sample: raw.req.sample,
-                                            bytes: cooked,
-                                        })
-                                        .is_err()
-                                    {
-                                        return;
-                                    }
                                 }
-                                Err(TryRecvError::Empty) => {
-                                    std::thread::sleep(Duration::from_micros(50));
+                                if cooked_tx[raw.req.consumer]
+                                    .send(Cooked {
+                                        iter: raw.req.iter,
+                                        sample: raw.req.sample,
+                                        bytes: cooked,
+                                    })
+                                    .is_err()
+                                {
+                                    return;
                                 }
-                                // All raw senders handed back and the channel
-                                // drained: the pool's work is over.
-                                Err(TryRecvError::Disconnected) => return,
+                                true
                             }
-                        }
+                            Err(TryRecvError::Empty) => false,
+                            // All raw senders handed back and the channel
+                            // drained: the pool's work is over.
+                            Err(TryRecvError::Disconnected) => return,
+                        },
+                    };
+                    if !worked {
+                        std::thread::sleep(IDLE_NAP);
                     }
-                });
-            }
-        } else {
-            // ---- Loader workers (static split). ----
-            for w in 0..cfg.loader_threads {
-                let req_rx = req_rx.clone();
-                let raw_tx = raw_tx.clone();
-                let cache = Arc::clone(&cache);
-                let clock = Arc::clone(&clock);
-                let rstore = Arc::clone(&rstore);
-                let assignment = Arc::clone(&assignment);
-                let service_ns = Arc::clone(&service_ns);
-                let worker_panics = Arc::clone(&worker_panics);
-                let stage_accum = Arc::clone(&stage_accum);
-                let ins = ins.clone();
-                let fetches_m = fetches_m.clone();
-                let panics_m = panics_m.clone();
-                scope.spawn(move |_| loop {
-                    // Serve the assigned queue first, then steal from the rest.
-                    let primary = assignment[w].load(Ordering::Relaxed) % req_rx.len();
-                    let mut got = None;
-                    let mut all_disconnected = true;
-                    let n = req_rx.len();
-                    for offset in 0..n {
-                        let q = (primary + offset) % n;
-                        match req_rx[q].try_recv() {
-                            Ok(r) => {
-                                got = Some(r);
-                                all_disconnected = false;
-                                break;
-                            }
-                            Err(TryRecvError::Empty) => all_disconnected = false,
-                            Err(TryRecvError::Disconnected) => {}
-                        }
-                    }
-                    match got {
-                        Some(req) => {
-                            ins.trace(|| {
-                                TraceEvent::instant("queue_dequeue", "queue", ins.now_us())
-                                    .tid(req.consumer as u32)
-                                    .arg_u("depth", req_rx[req.consumer].len() as u64)
-                                    .arg_u("worker", w as u64)
-                            });
-                            let bytes = match fetch_one(
-                                &req,
-                                w,
-                                &cache,
-                                &clock,
-                                &rstore,
-                                &worker_panics,
-                                &panics_m,
-                                &fetches_m,
-                                &stage_accum,
-                                &service_ns,
-                                &ins,
-                            ) {
-                                Some(b) => b,
-                                None => break, // store cancelled
-                            };
-                            if raw_tx.send(Raw { req, bytes }).is_err() {
-                                break;
-                            }
-                        }
-                        None if all_disconnected => break,
-                        None => std::thread::sleep(Duration::from_micros(100)),
-                    }
-                });
-            }
-
-            // ---- Preprocessing workers (static split). ----
-            for p in 0..cfg.preproc_threads {
-                let raw_rx = raw_rx.clone();
-                let cooked_tx = cooked_tx.clone();
-                let cfg2 = cfg.clone();
-                let sample_costs = Arc::clone(&sample_costs);
-                let stage_accum = Arc::clone(&stage_accum);
-                let ins = ins.clone();
-                scope.spawn(move |_| {
-                    for raw in raw_rx.iter() {
-                        let ts_us = ins.now_us();
-                        let t0 = Instant::now();
-                        let cooked = preprocess(
-                            &raw.bytes,
-                            cfg2.work_factor_at(raw.req.iter)
-                                .saturating_mul(sample_costs[raw.req.sample.index()]),
-                        );
-                        ins.trace(|| {
-                            TraceEvent::span("preprocess", "compute", ts_us, ins.now_us() - ts_us)
-                                .tid(p as u32)
-                                .arg_u("consumer", raw.req.consumer as u64)
-                                .arg_u("bytes", raw.bytes.len() as u64)
-                        });
-                        if ins.is_enabled() {
-                            stage_accum.preproc_ns[raw.req.consumer]
-                                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }
-                        if cooked_tx[raw.req.consumer]
-                            .send(Cooked {
-                                iter: raw.req.iter,
-                                sample: raw.req.sample,
-                                bytes: cooked,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                });
-            }
+                }
+            });
         }
         drop(raw_tx);
         drop(cooked_tx);
         drop(raw_rx);
-
-        // ---- Controller (adaptive multi-queue assignment). ----
-        // In elastic mode the elastic controller owns the assignment table;
-        // the measured-pressure controller stands down.
-        if cfg.adaptive && !cfg.elastic {
-            let req_rx = req_rx.clone();
-            let assignment = Arc::clone(&assignment);
-            let service_ns = Arc::clone(&service_ns);
-            let done = Arc::clone(&done);
-            let ins = ins.clone();
-            let decisions_m = decisions_m.clone();
-            let consumers = cfg.consumers;
-            scope.spawn(move |_| {
-                while !done.load(Ordering::Relaxed) {
-                    let depths: Vec<usize> = req_rx.iter().map(|rx| rx.len()).collect();
-                    let costs: Vec<f64> = service_ns
-                        .iter()
-                        .map(|c| c.load(Ordering::Relaxed) as f64 / 1e9)
-                        .collect();
-                    let plan = compute_weighted_assignment(&depths, &costs, assignment.len());
-                    if ins.is_enabled() {
-                        // Per-queue worker counts before and after this tick.
-                        let count = |qs: &mut dyn Iterator<Item = usize>| {
-                            let mut per_queue = vec![0u32; consumers];
-                            for q in qs {
-                                per_queue[q % consumers] += 1;
-                            }
-                            per_queue
-                        };
-                        let before =
-                            count(&mut assignment.iter().map(|a| a.load(Ordering::Relaxed)));
-                        let after = count(&mut plan.iter().copied());
-                        decisions_m.inc();
-                        ins.record_decision(DecisionRecord {
-                            ts_us: ins.now_us(),
-                            source: DecisionSource::EngineController,
-                            node: 0,
-                            queue_loads: depths.iter().map(|&d| d as f64).collect(),
-                            predicted_cost: costs.clone(),
-                            threads_before: before,
-                            threads_after: after,
-                            gap_s: None,
-                            evals: 1,
-                            converged: true,
-                            anomalies_before: 0,
-                        });
-                    }
-                    for (w, &q) in plan.iter().enumerate() {
-                        assignment[w].store(q, Ordering::Relaxed);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
-        }
 
         // ---- Consumers ("GPUs"). ----
         let remaining = Arc::new(AtomicUsize::new(cfg.consumers));
@@ -1245,14 +985,7 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
                                     d[i] = c.saturating_sub(tele_prev[i]);
                                     tele_prev[i] = c;
                                 }
-                                let (pw, lw) = if cfg2.adaptive {
-                                    (
-                                        preproc_g.value().max(0) as u32,
-                                        loader_g.value().max(0) as u32,
-                                    )
-                                } else {
-                                    (cfg2.preproc_threads as u32, cfg2.loader_threads as u32)
-                                };
+                                let (lw, pw) = board.counts();
                                 ins.record_tick(lobster_metrics::TickScalars {
                                     tick: iter,
                                     gap_us: (out.gap_s * 1e6) as u64,
@@ -1264,8 +997,8 @@ pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments)
                                     evictions: d[2],
                                     retries: d[3],
                                     delivered: d[4],
-                                    preproc_workers: pw,
-                                    loader_workers: lw,
+                                    preproc_workers: pw as u32,
+                                    loader_workers: lw as u32,
                                     down_mask: crash_plan
                                         .as_ref()
                                         .map_or(0, |p| p.down_mask_at(iter)),
@@ -1420,7 +1153,6 @@ mod tests {
             cache_bytes: 16 << 20,
             work_factor: 1,
             train: Duration::from_micros(200),
-            adaptive: true,
             epochs: 2,
             seed: 7,
             retry: RetryPolicy::default(),
@@ -1459,16 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn static_assignment_also_completes() {
-        let store = small_store(64, 50);
-        let mut cfg = fast_cfg();
-        cfg.adaptive = false;
-        let expected = expected_integrity(store.dataset(), &cfg);
-        let report = run(store, cfg);
-        assert_eq!(report.integrity, expected);
-    }
-
-    #[test]
     fn single_consumer_single_worker_degenerate_case() {
         let store = small_store(16, 0);
         let cfg = EngineConfig {
@@ -1482,71 +1204,6 @@ mod tests {
         let report = run(store, cfg);
         assert_eq!(report.iterations, 4);
         assert_eq!(report.delivered, 16);
-    }
-
-    #[test]
-    fn compute_assignment_tracks_queue_depths() {
-        // Queue 1 is ten times deeper: it must get most workers.
-        let a = compute_assignment(&[10, 100, 10], 6);
-        assert_eq!(a.len(), 6);
-        let q1 = a.iter().filter(|&&q| q == 1).count();
-        assert!(q1 >= 3, "deep queue got {q1} of 6 workers: {a:?}");
-        // Every index is a valid queue.
-        assert!(a.iter().all(|&q| q < 3));
-    }
-
-    #[test]
-    fn weighted_assignment_prefers_expensive_queues() {
-        // Equal depths, but queue 0's requests cost 10× more: it should
-        // receive the majority of workers.
-        let a = compute_weighted_assignment(&[50, 50], &[10e-3, 1e-3], 6);
-        let q0 = a.iter().filter(|&&q| q == 0).count();
-        assert!(q0 >= 4, "expensive queue got {q0} of 6: {a:?}");
-    }
-
-    #[test]
-    fn weighted_assignment_without_costs_equals_plain() {
-        let depths = [10usize, 100, 10];
-        assert_eq!(
-            compute_weighted_assignment(&depths, &[], 6),
-            compute_assignment(&depths, 6)
-        );
-        assert_eq!(
-            compute_weighted_assignment(&depths, &[0.0, 0.0, 0.0], 6),
-            compute_assignment(&depths, 6)
-        );
-    }
-
-    #[test]
-    fn compute_assignment_handles_idle_queues() {
-        let a = compute_assignment(&[0, 0], 4);
-        assert_eq!(a.len(), 4);
-        assert!(a.iter().all(|&q| q < 2));
-    }
-
-    #[test]
-    fn idle_queues_spread_round_robin() {
-        // All-zero depths used to pile every worker onto queue 0 through
-        // the proportional path's per-queue floor; now they round-robin.
-        assert_eq!(compute_assignment(&[0, 0, 0], 6), vec![0, 1, 2, 0, 1, 2]);
-        assert_eq!(
-            compute_weighted_assignment(&[0, 0], &[5e-3, 1e-3], 3),
-            vec![0, 1, 0]
-        );
-    }
-
-    #[test]
-    fn undersized_pool_covers_deepest_queues_first() {
-        // Four busy queues, two workers: the floor-at-one allocation used
-        // to hand both workers to the *first* queues regardless of load.
-        // They must go to the deepest queues (1 and 3) instead.
-        let a = compute_assignment(&[1, 50, 5, 30], 2);
-        assert_eq!(a.len(), 2);
-        assert!(a.contains(&1), "deepest queue uncovered: {a:?}");
-        assert!(a.contains(&3), "second-deepest queue uncovered: {a:?}");
-        // Weighted variant: queue 2's cost makes it the deepest load.
-        let w = compute_weighted_assignment(&[10, 10, 10], &[1e-3, 1e-3, 50e-3], 1);
-        assert_eq!(w, vec![2]);
     }
 
     #[test]
@@ -1665,11 +1322,6 @@ mod tests {
         let snap = ins.metrics_snapshot();
         assert!(snap.get("analysis.gap_us").is_some(), "gap gauge mirrored");
         assert!(snap.get("analysis.ewma_gap_us").is_some());
-        assert_eq!(
-            snap.get("worker_panics"),
-            snap.get("engine.worker_panics"),
-            "legacy alias mirrors the canonical counter"
-        );
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!   single-flight misses.
 //! * [`transform`] — an invertible CPU-proportional preprocessing stand-in,
 //!   so end-to-end integrity is checkable.
-//! * [`engine`] — multi-queue loaders, preprocessing pool, consumer
-//!   ("GPU") threads with a barrier, and an adaptive controller that
-//!   re-assigns loader workers to queues by measured pressure (§4.2 live).
-//!   With [`EngineConfig::elastic`] the two pools merge into one elastic
-//!   pool whose preproc↔loader roles flip at iteration boundaries (§4.1).
+//! * [`engine`] — multi-queue request queues (§4.2), one worker pool
+//!   whose workers load or preprocess as a shared role board says, and
+//!   consumer ("GPU") threads with a barrier. The board keeps the
+//!   configured split unless [`EngineConfig::elastic`] lets the elastic
+//!   controller flip preproc↔loader roles at iteration boundaries (§4.1).
 //! * [`resilient`] — the self-healing fetch path: retries with
 //!   backoff + jitter, per-fetch deadlines, refetch of any payload that
 //!   fails its memoised canonical checksum.
@@ -32,10 +32,7 @@ pub mod sync;
 pub mod transform;
 
 pub use cache::ShardCache;
-pub use engine::{
-    compute_assignment, compute_weighted_assignment, expected_integrity, run, run_with,
-    schedule_spec, EngineConfig, EngineReport,
-};
+pub use engine::{expected_integrity, run, run_with, schedule_spec, EngineConfig, EngineReport};
 pub use resilient::{RecoveryStats, ResilientStore};
 pub use store::{
     canonical_checksum, sample_bytes, sample_checksum, FetchError, InjectedFaults, SyntheticStore,

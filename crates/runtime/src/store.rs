@@ -5,8 +5,7 @@
 //! its id (so correctness is checkable end-to-end) and charges a simulated
 //! fetch cost — a per-request latency plus bytes/bandwidth delay — standing
 //! in for the PFS. The delay is real wall-clock time, so the engine's
-//! measured timings and the adaptive controller's decisions are exercised
-//! for real.
+//! measured timings are real.
 //!
 //! A store may carry a [`FaultPlan`]: each fetch attempt then consults the
 //! seeded schedule and may fail transiently, stall, corrupt its payload, or

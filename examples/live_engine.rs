@@ -1,17 +1,16 @@
 //! Live multi-threaded engine demo: real loader/preprocessing threads move
-//! real bytes through the multi-queue pipeline, with the adaptive
-//! controller re-assigning loader workers by measured queue pressure —
-//! compare against a static assignment.
+//! real bytes through the multi-queue pipeline. The same 6-worker pool runs
+//! twice: once with the static 4 loader / 2 preproc split, once as the
+//! elastic pool (DESIGN.md §11), whose controller flips worker roles at
+//! tick boundaries.
 //!
 //! ```sh
 //! cargo run --release --example live_engine
 //! cargo run --release --example live_engine -- --elastic
 //! ```
 //!
-//! With `--elastic` a third run merges the loader and preprocessing pools
-//! into one elastic pool (DESIGN.md §11): the controller flips worker
-//! roles at tick boundaries as the §4.1 regression tracks a mid-run
-//! work-factor step.
+//! With `--elastic` a third run adds a mid-run work-factor step, which the
+//! §4.1 regression tracks by moving loaders into preprocessing.
 
 use lobster_repro::data::{Dataset, SizeDistribution};
 use lobster_repro::metrics::{fmt_pct, Instruments, Summary, Table};
@@ -48,8 +47,8 @@ fn main() {
         "fetches",
         "integrity",
     ]);
-    let mut adaptive_ins = None;
-    for adaptive in [false, true] {
+    let mut elastic_ins = None;
+    for elastic in [false, true] {
         let cfg = EngineConfig {
             consumers: 4,
             batch_size: 8,
@@ -58,7 +57,7 @@ fn main() {
             cache_bytes: 32 << 20,
             work_factor: 2,
             train: Duration::from_millis(3),
-            adaptive,
+            elastic,
             epochs: 2,
             seed: 42,
             retry: Default::default(),
@@ -66,23 +65,23 @@ fn main() {
         };
         let s = store();
         let expected = expected_integrity(s.dataset(), &cfg);
-        // Observe the adaptive run: trace buffer + counters + decision log.
-        let ins = if adaptive {
+        // Observe the elastic run: trace buffer + counters + decision log.
+        let ins = if elastic {
             Instruments::enabled()
         } else {
             Instruments::disabled()
         };
         let report = run_with(s, cfg, ins.clone());
-        if adaptive {
-            adaptive_ins = Some(ins);
+        if elastic {
+            elastic_ins = Some(ins);
         }
         let mut iters = Summary::new();
         iters.record_all(report.iteration_secs.iter().copied());
         table.row([
-            if adaptive {
-                "adaptive (lobster)"
+            if elastic {
+                "elastic pool (lobster)"
             } else {
-                "static pools"
+                "static split"
             }
             .to_string(),
             format!("{:.1}ms", iters.percentile(50.0) * 1e3),
@@ -97,9 +96,8 @@ fn main() {
         ]);
     }
     if elastic_mode {
-        // Elastic pool: the same 6 workers, but the preproc↔loader split
-        // is re-rolled at tick boundaries while preprocessing gets 8×
-        // heavier halfway through the run.
+        // Elastic pool again, while preprocessing gets 8× heavier halfway
+        // through the run.
         let cfg = EngineConfig {
             consumers: 4,
             batch_size: 8,
@@ -109,7 +107,6 @@ fn main() {
             work_factor: 2,
             work_factor_step: Some((16, 16)),
             train: Duration::from_millis(3),
-            adaptive: true,
             elastic: true,
             epochs: 2,
             seed: 42,
@@ -129,7 +126,7 @@ fn main() {
             .max()
             .unwrap_or(0);
         table.row([
-            format!("elastic pool ({flips} flips, peak {max_preproc}P)"),
+            format!("elastic + 8x step ({flips} flips, peak {max_preproc}P)"),
             format!("{:.1}ms", iters.percentile(50.0) * 1e3),
             format!("{:.1}ms", iters.percentile(95.0) * 1e3),
             fmt_pct(report.hit_ratio),
@@ -145,8 +142,8 @@ fn main() {
     print!("{}", table.render());
     println!("\nEvery delivered byte is verified against the canonical sample stream.");
 
-    let ins = adaptive_ins.expect("adaptive run instruments");
-    println!("\n-- adaptive run, metrics snapshot --");
+    let ins = elastic_ins.expect("elastic run instruments");
+    println!("\n-- elastic run, metrics snapshot --");
     print!("{}", ins.metrics_snapshot().to_text());
     println!(
         "controller decisions: {} (trace events: {})",

@@ -31,13 +31,12 @@ fn cfg() -> EngineConfig {
         epochs: 2,
         seed: 23,
         train: Duration::from_micros(200),
-        adaptive: true,
         ..EngineConfig::default()
     }
 }
 
 /// The ISSUE's acceptance scenario: ≥5% transient errors, corruption, and
-/// a mid-run slowdown. The adaptive engine must complete with the same
+/// a mid-run slowdown. The engine must complete with the same
 /// integrity fingerprint a fault-free run reports, and export non-zero
 /// retry/corruption counters.
 #[test]

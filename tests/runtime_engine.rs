@@ -2,7 +2,7 @@
 //! contention, skewed stores, and deadlock-freedom at awkward sizes.
 
 use lobster_repro::data::{Dataset, SizeDistribution};
-use lobster_repro::metrics::Instruments;
+use lobster_repro::metrics::{DecisionSource, Instruments};
 use lobster_repro::runtime::{expected_integrity, run, run_with, EngineConfig, SyntheticStore};
 use lobster_repro::storage::RetryPolicy;
 use std::sync::Arc;
@@ -50,7 +50,6 @@ fn many_consumers_complete_with_integrity() {
         cache_bytes: 64 << 20,
         work_factor: 1,
         train: Duration::from_micros(300),
-        adaptive: true,
         epochs: 2,
         seed: 5,
         retry: RetryPolicy::default(),
@@ -70,7 +69,6 @@ fn more_loaders_than_consumers_is_fine() {
         batch_size: 4,
         loader_threads: 6,
         preproc_threads: 3,
-        adaptive: true,
         epochs: 1,
         ..EngineConfig::default()
     };
@@ -91,7 +89,6 @@ fn tiny_cache_still_delivers_correct_bytes() {
         cache_bytes: 30_000,
         work_factor: 1,
         train: Duration::from_micros(100),
-        adaptive: true,
         epochs: 2,
         seed: 9,
         retry: RetryPolicy::default(),
@@ -122,7 +119,6 @@ fn slow_store_does_not_deadlock_the_barrier() {
         cache_bytes: 32 << 20,
         work_factor: 2,
         train: Duration::from_millis(1),
-        adaptive: true,
         epochs: 2,
         seed: 42,
         retry: RetryPolicy::default(),
@@ -146,9 +142,8 @@ fn slow_store_does_not_deadlock_the_barrier() {
     assert!(!report.aborted, "run must drain, not bail out");
 }
 
-#[test]
-fn instrumented_adaptive_run_logs_decisions_and_balanced_cache_counters() {
-    let cfg = EngineConfig {
+fn instrumented_cfg() -> EngineConfig {
+    EngineConfig {
         consumers: 4,
         batch_size: 8,
         loader_threads: 4,
@@ -156,12 +151,16 @@ fn instrumented_adaptive_run_logs_decisions_and_balanced_cache_counters() {
         cache_bytes: 8 << 20,
         work_factor: 1,
         train: Duration::from_millis(1),
-        adaptive: true,
         epochs: 2,
         seed: 3,
         retry: RetryPolicy::default(),
         ..EngineConfig::default()
-    };
+    }
+}
+
+#[test]
+fn instrumented_static_run_balances_cache_counters() {
+    let cfg = instrumented_cfg();
     let s = store(256, Duration::from_micros(50));
     let expected = expected_integrity(s.dataset(), &cfg);
     let ins = Instruments::enabled();
@@ -170,23 +169,8 @@ fn instrumented_adaptive_run_logs_decisions_and_balanced_cache_counters() {
         report.integrity, expected,
         "instrumentation must not disturb the data path"
     );
-
-    // The adaptive controller ran: at least one decision was recorded, and
-    // each landed in the trace as a controller_decision instant.
-    let decisions = ins.decisions();
-    assert!(
-        !decisions.is_empty(),
-        "adaptive run must log at least one controller decision"
-    );
-    assert!(decisions.iter().all(|d| d.threads_after.len() == 4));
-    let trace = ins.chrome_trace_json().expect("enabled bundle has a trace");
-    let doc: serde_json::Value = serde_json::from_str(&trace).unwrap();
-    let events = doc["traceEvents"].as_array().unwrap();
-    let n_decision_events = events
-        .iter()
-        .filter(|e| e["name"].as_str() == Some("controller_decision"))
-        .count();
-    assert_eq!(n_decision_events, decisions.len());
+    // A frozen role board makes no decisions.
+    assert!(ins.decisions().is_empty());
 
     // Accounting invariant: the cache is consulted exactly once per fetch
     // request, so hits + misses must equal the fetch count.
@@ -205,6 +189,48 @@ fn instrumented_adaptive_run_logs_decisions_and_balanced_cache_counters() {
         snap.get("engine.delivered").unwrap() as u64,
         report.delivered
     );
+}
+
+#[test]
+fn instrumented_elastic_run_logs_one_traced_decision_per_role_flip() {
+    let cfg = EngineConfig {
+        elastic: true,
+        elastic_churn: true,
+        ..instrumented_cfg()
+    };
+    let s = store(256, Duration::from_micros(50));
+    let expected = expected_integrity(s.dataset(), &cfg);
+    let ins = Instruments::enabled();
+    let report = run_with(s, cfg, ins.clone());
+    assert_eq!(report.integrity, expected);
+
+    // Forced churn flips roles, and every flip is one ElasticPool record
+    // that also landed in the trace as a controller_decision instant.
+    let decisions = ins.decisions();
+    assert!(
+        !decisions.is_empty(),
+        "a churning elastic run must log role-flip decisions"
+    );
+    assert!(decisions
+        .iter()
+        .all(|d| d.source == DecisionSource::ElasticPool));
+    let trace = ins.chrome_trace_json().expect("enabled bundle has a trace");
+    let doc: serde_json::Value = serde_json::from_str(&trace).unwrap();
+    let events = doc["traceEvents"].as_array().unwrap();
+    let decision_ts: Vec<u64> = events
+        .iter()
+        .filter(|e| e["name"].as_str() == Some("controller_decision"))
+        .map(|e| e["ts"].as_u64().unwrap())
+        .collect();
+    assert_eq!(decision_ts.len(), decisions.len());
+    for d in &decisions {
+        assert_eq!(
+            decision_ts.iter().filter(|&&ts| ts == d.ts_us).count(),
+            1,
+            "decision at {} µs needs exactly one trace instant",
+            d.ts_us
+        );
+    }
 }
 
 #[test]

@@ -89,7 +89,6 @@ fn engine_cfg() -> EngineConfig {
         epochs: 2,
         seed: 31,
         train: Duration::from_micros(200),
-        adaptive: true,
         ..EngineConfig::default()
     }
 }
@@ -112,6 +111,15 @@ fn engine_anomaly_sequence_replays_exactly_from_recorded_frames() {
     // Frames carry the run's delivery accounting tick by tick.
     let delivered: u64 = snap.frames.iter().map(|f| f.scalars.delivered).sum();
     assert_eq!(delivered, report.delivered);
+    // ...and the role board's split: 3 loaders and 2 preprocs, frozen.
+    for f in &snap.frames {
+        assert_eq!(
+            (f.scalars.loader_workers, f.scalars.preproc_workers),
+            (3, 2),
+            "worker counts at tick {}",
+            f.scalars.tick
+        );
+    }
 
     // Replay determinism: a fresh bank over the recorded frames must
     // reproduce the online sequence byte-for-byte.
