@@ -16,7 +16,7 @@ cargo build --workspace --release
 echo "== test =="
 # Hard timeout: a deadlocked test must fail the gate, not hang it. The
 # engine tests additionally carry their own in-process watchdogs (see
-# tests/runtime_engine.rs) so a single stuck run dies long before this.
+# tests/common/watchdog.rs) so a single stuck run dies long before this.
 timeout 600 cargo test -q --workspace --no-fail-fast
 
 echo "== elastic stress =="

@@ -10,6 +10,15 @@
 //! keeps the configured loader/preproc split for the whole run; with it on,
 //! the elastic controller re-rolls the split at iteration boundaries.
 //!
+//! [`run_with`] only wires stages; every scoped thread borrows one `Shared`
+//! context and owns nothing but its channel ends. `Feeder` streams the
+//! schedule under credit pacing; a pool worker runs `Fetch::step` (request →
+//! cache or resilient fetch → raw queue) or `Transform::step` (raw →
+//! preprocess → cooked queue) as the board says; each consumer runs
+//! `Deliver` (assemble, invert and fingerprint, train, barrier), and
+//! consumer 0's `Ticker` handles membership, the per-iteration frame and
+//! the elastic tick.
+//!
 //! All store I/O goes through the self-healing [`ResilientStore`] path:
 //! transient errors are retried with backoff + jitter, stalls are bounded
 //! by per-fetch deadlines, corrupted payloads are detected by checksum and
@@ -17,8 +26,11 @@
 //! poison fault) is contained — the panic is caught, counted, and the
 //! request re-executed — so no fault class can wedge the consumer barrier.
 //! Teardown is defensive end to end: channel disconnections unwind each
-//! stage instead of panicking, and an [`AbortableBarrier`] plus the store's
-//! cancel flag let the engine drain cleanly even if a consumer dies.
+//! stage instead of panicking, and one abort routine (a consumer losing its
+//! upstream, or a cancelled store fetch) raises the latch every pool worker
+//! checks once per pass, aborts the [`AbortableBarrier`] and cancels
+//! in-flight transfers, so the engine drains instead of hanging
+//! (`tests/runtime_engine.rs::cancelled_store_aborts_and_drains`).
 
 use crate::cache::{Lookup, ShardCache};
 use crate::resilient::ResilientStore;
@@ -29,16 +41,18 @@ use crossbeam::channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender,
 use lobster_core::elastic::{
     ElasticController, ElasticDecision, ElasticObservation, ElasticParams,
 };
-use lobster_core::WorkEstimate;
+use lobster_core::{Role, WorkEstimate};
 use lobster_data::{
     generate_access, AccessPattern, Dataset, EpochSchedule, PartitionScheme, SampleId, ScheduleSpec,
 };
 use lobster_metrics::{
-    DecisionRecord, DecisionSource, FlightEvent, FlightFault, FlightTier, Instruments, TraceEvent,
+    Counter, DecisionRecord, DecisionSource, FlightEvent, FlightFault, FlightTier, Gauge,
+    Instruments, TraceEvent,
 };
 use lobster_storage::faults::{
-    CrashSpec, FaultSpec, MembershipEvent, MembershipTransition, RetryPolicy,
+    CrashSpec, FaultPlan, FaultSpec, MembershipEvent, MembershipTransition, RetryPolicy,
 };
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -140,7 +154,8 @@ impl Default for EngineConfig {
 /// What the engine measured.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
-    /// Iterations executed (across all epochs).
+    /// Iterations executed (across all epochs): the barriers consumer 0
+    /// passed, so an aborted run reports fewer than the schedule holds.
     pub iterations: u64,
     /// Wall time of each iteration (barrier to barrier), seconds.
     pub iteration_secs: Vec<f64>,
@@ -162,8 +177,8 @@ pub struct EngineReport {
     pub deadline_exceeded: u64,
     /// Loader-worker panics contained (request re-executed).
     pub worker_panics: u64,
-    /// True if the run was aborted (a consumer died) rather than draining
-    /// the full schedule. All counts above still reflect work done.
+    /// True if the run was aborted (the pool died or the store was
+    /// cancelled) before the schedule drained. Counts above reflect work done.
     pub aborted: bool,
     /// Exactly which samples each consumer received, per iteration:
     /// `delivered_samples[consumer][iter]` is the sorted multiset of sample
@@ -200,33 +215,20 @@ struct Req {
     enq_us: u64,
 }
 
-/// Per-consumer stage-time accumulators feeding the online bottleneck
+/// One consumer's stage-time accumulators, feeding the online bottleneck
 /// analyzer. Workers add monotonically from their own threads; consumer 0
 /// snapshots deltas once per iteration after the barrier (the barrier
 /// orders every pre-arrival write before the read).
+#[derive(Default)]
 struct StageAccum {
-    /// Fetch nanoseconds served by the local cache, per consumer.
-    fetch_local_ns: Vec<AtomicU64>,
-    /// Fetch nanoseconds that reached the backing store ("PFS"), per
-    /// consumer.
-    fetch_store_ns: Vec<AtomicU64>,
-    preproc_ns: Vec<AtomicU64>,
-    queue_wait_ns: Vec<AtomicU64>,
-    /// Barrier-arrival timestamp of each consumer this iteration, µs.
-    arrival_us: Vec<AtomicU64>,
-}
-
-impl StageAccum {
-    fn new(consumers: usize) -> StageAccum {
-        let cells = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
-        StageAccum {
-            fetch_local_ns: cells(consumers),
-            fetch_store_ns: cells(consumers),
-            preproc_ns: cells(consumers),
-            queue_wait_ns: cells(consumers),
-            arrival_us: cells(consumers),
-        }
-    }
+    /// Fetch nanoseconds served by the local cache.
+    fetch_local_ns: AtomicU64,
+    /// Fetch nanoseconds that reached the backing store ("PFS").
+    fetch_store_ns: AtomicU64,
+    preproc_ns: AtomicU64,
+    queue_wait_ns: AtomicU64,
+    /// Barrier-arrival timestamp this iteration, µs.
+    arrival_us: AtomicU64,
 }
 
 struct Raw {
@@ -240,23 +242,140 @@ struct Cooked {
     bytes: Vec<u8>,
 }
 
-/// Publish a controller tick to the shared state the workers read: the
-/// role board mirrors the controller's role vector, and each loader-role
-/// worker gets its primary queue by expanding the per-queue counts of
-/// `d.loader_queues` over the loaders in worker-index order.
-fn apply_elastic_decision(
-    ctl: &ElasticController,
-    d: &ElasticDecision,
-    board: &RoleBoard,
-    assignment: &[AtomicUsize],
-) {
-    let queues = &d.loader_queues;
+/// The run's shared context: built once by [`run_with`] and borrowed by
+/// every stage thread.
+struct Shared {
+    cfg: EngineConfig,
+    ins: Instruments,
+    store: Arc<SyntheticStore>,
+    /// The self-healing fetch path every loader goes through.
+    rstore: ResilientStore,
+    cache: ShardCache,
+    /// Recency clock stamped on every cache access.
+    clock: AtomicU64,
+    board: RoleBoard,
+    /// Each pool slot's primary request queue when it loads; only the
+    /// elastic tick rewrites it.
+    assignment: Vec<AtomicUsize>,
+    accum: Vec<StageAccum>,
+    /// Per-sample preprocessing cost multipliers (unit on classic datasets).
+    sample_costs: Vec<u32>,
+    crash_plan: Option<FaultPlan>,
+    spec: ScheduleSpec,
+    total_iters: u64,
+    fetches_m: Counter,
+    delivered_m: Counter,
+    decisions_m: Counter,
+    barrier_m: Counter,
+    panics_m: Counter,
+    evictions_m: Counter,
+    preproc_g: Gauge,
+    loader_g: Gauge,
+    /// Raised only by [`Shared::abort`]: the feeder stops and every pool
+    /// worker leaves on its next pass.
+    aborted: AtomicBool,
+    /// The feed is exhausted: loader-role workers hand their raw senders
+    /// back so the raw channel disconnects and the pool drains.
+    feed_done: AtomicBool,
+    cancel: Arc<AtomicBool>,
+    barrier: AbortableBarrier,
+    /// Samples each consumer has taken, for the feeder's credit pacing.
+    consumed: Vec<AtomicU64>,
+    delivered: AtomicU64,
+    integrity: AtomicU64,
+    worker_panics: AtomicU64,
+}
+
+impl Shared {
+    fn new(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments) -> Shared {
+        assert!(cfg.consumers > 0 && cfg.batch_size > 0);
+        assert!(cfg.loader_threads > 0 && cfg.preproc_threads > 0);
+        let spec = schedule_spec(store.dataset(), &cfg);
+        let iters_per_epoch = spec.iterations_per_epoch();
+        assert!(iters_per_epoch > 0, "dataset too small for one iteration");
+        // Tick-deterministic membership: consumer 0 applies each tick's
+        // down-mask at the boundary. *Which* in-flight fetch sees it races
+        // (benign: a PeerDown fails over to the PFS); the event sequence is
+        // a pure function of the schedule.
+        let crash_plan = (!cfg.crashes.is_empty()).then(|| {
+            FaultSpec {
+                crashes: cfg.crashes.clone(),
+                seed: cfg.seed,
+                ..FaultSpec::default()
+            }
+            .compile()
+            .expect("engine crash schedule must be valid")
+        });
+        if cfg.peer_nodes > 0 {
+            store.configure_peers(cfg.peer_nodes);
+        }
+        let dataset = store.dataset();
+        Shared {
+            cache: ShardCache::with_instruments(cfg.cache_bytes, ins.clone()),
+            clock: AtomicU64::new(0),
+            rstore: ResilientStore::new(Arc::clone(&store), cfg.retry, ins.clone()),
+            board: RoleBoard::new(cfg.loader_threads, cfg.preproc_threads),
+            assignment: (0..cfg.loader_threads + cfg.preproc_threads)
+                .map(|w| AtomicUsize::new(w % cfg.consumers))
+                .collect(),
+            accum: (0..cfg.consumers).map(|_| StageAccum::default()).collect(),
+            sample_costs: (0..dataset.len())
+                .map(|i| dataset.cost_of(SampleId(i as u32)))
+                .collect(),
+            crash_plan,
+            spec,
+            total_iters: iters_per_epoch as u64 * cfg.epochs,
+            fetches_m: ins.counter("engine.fetches"),
+            delivered_m: ins.counter("engine.delivered"),
+            decisions_m: ins.counter("engine.controller_decisions"),
+            barrier_m: ins.counter("engine.barrier_waits"),
+            panics_m: ins.counter("engine.worker_panics"),
+            evictions_m: ins.counter("engine.cache_evictions"),
+            preproc_g: ins.gauge("engine.preproc_workers"),
+            loader_g: ins.gauge("engine.loader_workers"),
+            aborted: AtomicBool::new(false),
+            feed_done: AtomicBool::new(false),
+            cancel: store.cancel_handle(),
+            barrier: AbortableBarrier::new(cfg.consumers),
+            consumed: (0..cfg.consumers).map(|_| AtomicU64::new(0)).collect(),
+            delivered: AtomicU64::new(0),
+            integrity: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
+            cfg,
+            ins,
+            store,
+        }
+    }
+
+    /// The preprocessing cost of `sample` in iteration `iter`: the work
+    /// factor in force times the sample's cost multiplier. Transform and
+    /// Deliver both use it, so the inversion always undoes the mixing.
+    fn cost(&self, iter: u64, sample: SampleId) -> u32 {
+        self.cfg
+            .work_factor_at(iter)
+            .saturating_mul(self.sample_costs[sample.index()])
+    }
+
+    /// Abort the run: stop the feeder and the pool, cancel in-flight
+    /// simulated transfers, and wake every consumer off the barrier.
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::Relaxed);
+        self.cancel.store(true, Ordering::Relaxed);
+        self.barrier.abort();
+    }
+}
+
+/// Publish a controller tick to the workers: the role board mirrors `roles`,
+/// and each loader gets its primary queue by expanding the per-queue counts
+/// `queues` over the loaders in worker order; one beyond their sum gets
+/// `w % queues.len()`.
+fn publish_roles(roles: &[Role], queues: &[u32], board: &RoleBoard, assignment: &[AtomicUsize]) {
     let nq = queues.len().max(1);
     let mut q = 0usize;
     let mut used = 0u32;
-    for (w, &role) in ctl.roles().iter().enumerate() {
+    for (w, &role) in roles.iter().enumerate() {
         match role {
-            lobster_core::Role::Loader => {
+            Role::Loader => {
                 board.set_role(w, ROLE_LOADER);
                 while q < queues.len() && used >= queues[q] {
                     q += 1;
@@ -266,7 +385,7 @@ fn apply_elastic_decision(
                 assignment[w].store(qi, Ordering::Relaxed);
                 used += 1;
             }
-            lobster_core::Role::Preproc => board.set_role(w, ROLE_PREPROC),
+            Role::Preproc => board.set_role(w, ROLE_PREPROC),
         }
     }
 }
@@ -279,108 +398,579 @@ const IDLE_NAP: Duration = Duration::from_micros(100);
 /// from the rest. `Disconnected` only once every queue is disconnected.
 fn next_request(req_rx: &[Receiver<Req>], primary: usize) -> Result<Req, TryRecvError> {
     let n = req_rx.len();
-    let mut all_disconnected = true;
+    let mut err = TryRecvError::Disconnected;
     for offset in 0..n {
         match req_rx[(primary + offset) % n].try_recv() {
             Ok(req) => return Ok(req),
-            Err(TryRecvError::Empty) => all_disconnected = false,
+            Err(TryRecvError::Empty) => err = TryRecvError::Empty,
             Err(TryRecvError::Disconnected) => {}
         }
     }
-    Err(if all_disconnected {
-        TryRecvError::Disconnected
-    } else {
-        TryRecvError::Empty
-    })
+    Err(err)
 }
 
-/// One resilient fetch through the cache, with poisoned-worker
-/// containment (the panic is caught, counted, and the request
-/// re-executed). `None` means the store was cancelled and the calling
-/// worker should unwind.
-#[allow(clippy::too_many_arguments)]
-fn fetch_one(
-    req: &Req,
-    w: usize,
-    cache: &ShardCache,
-    clock: &AtomicU64,
-    rstore: &ResilientStore,
-    worker_panics: &AtomicU64,
-    panics_m: &lobster_metrics::Counter,
-    fetches_m: &lobster_metrics::Counter,
-    stage_accum: &StageAccum,
-    ins: &Instruments,
-) -> Option<Arc<Vec<u8>>> {
-    let t0 = Instant::now();
-    let ts_us = ins.now_us();
-    if ins.is_enabled() {
-        stage_accum.queue_wait_ns[req.consumer]
-            .fetch_add(ts_us.saturating_sub(req.enq_us) * 1_000, Ordering::Relaxed);
-    }
-    let key = clock.fetch_add(1, Ordering::Relaxed);
-    fetches_m.inc();
-    let (bytes, tier) = match cache.get_or_claim(req.sample, key) {
-        Lookup::Hit(b) => (b, "cache"),
-        Lookup::Claim(claim) => {
-            // Poisoned-worker containment: an injected poison fault panics
-            // inside the fetch. The panic is caught here (no locks are held
-            // across the fetch), logged, and the request re-executed — the
-            // worker "restarts" instead of taking the whole scope down. The
-            // claim is held throughout; returning on cancellation drops it,
-            // which hands the fetch to any loader waiting on this id.
-            let fetched = loop {
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    rstore.fetch(req.sample)
-                }));
-                match attempt {
-                    Ok(Ok(bytes)) => break Arc::new(bytes),
-                    Ok(Err(FetchError::Cancelled)) => return None,
-                    Ok(Err(_)) => {
-                        unreachable!("ResilientStore absorbs non-cancel errors")
-                    }
-                    Err(_) => {
-                        worker_panics.fetch_add(1, Ordering::Relaxed);
-                        panics_m.inc();
-                        let ts = ins.now_us();
-                        ins.trace(|| {
-                            TraceEvent::instant("worker_panic", "fault", ts)
-                                .tid(w as u32)
-                                .arg_u("sample", req.sample.0 as u64)
-                        });
-                        ins.flight(|| FlightEvent::Fault {
-                            kind: FlightFault::WorkerPanic,
-                            sample: req.sample.0 as u64,
+/// The feeder stage: streams every request in schedule order.
+struct Feeder {
+    req_tx: Vec<Sender<Req>>,
+}
+
+impl Feeder {
+    fn run(self, sh: &Shared) {
+        let cfg = &sh.cfg;
+        // Credit pacing bounds total in-flight work per consumer regardless
+        // of queue sizes: at most this many samples sent but not consumed.
+        let inflight_limit = (4 * cfg.batch_size) as u64;
+        let iters_per_epoch = sh.spec.iterations_per_epoch();
+        let mut sent = vec![0u64; cfg.consumers];
+        for epoch in 0..cfg.epochs {
+            let sched = engine_schedule(sh.spec, epoch, cfg);
+            for h in 0..iters_per_epoch {
+                let iter = epoch * iters_per_epoch as u64 + h as u64;
+                for (consumer, tx) in self.req_tx.iter().enumerate() {
+                    for &sample in sched.batch(h, 0, consumer) {
+                        while sent[consumer] - sh.consumed[consumer].load(Ordering::Relaxed)
+                            >= inflight_limit
+                        {
+                            if sh.aborted.load(Ordering::Relaxed) {
+                                // Nobody will ever consume again: stop feeding.
+                                return;
+                            }
+                            std::thread::sleep(Duration::from_micros(50));
+                        }
+                        let req = Req {
+                            iter,
+                            consumer,
+                            sample,
+                            enq_us: sh.ins.now_us(),
+                        };
+                        if tx.send(req).is_err() {
+                            return; // the pool is gone: the engine is unwinding
+                        }
+                        sent[consumer] += 1;
+                        sh.ins.trace(|| {
+                            TraceEvent::instant("queue_enqueue", "queue", sh.ins.now_us())
+                                .tid(consumer as u32)
+                                .arg_u("depth", tx.len() as u64)
+                                .arg_u("sample", sample.0 as u64)
                         });
                     }
                 }
-            };
-            claim.fill(Arc::clone(&fetched), key);
-            (fetched, "store")
+            }
         }
-    };
-    ins.trace(|| {
-        TraceEvent::span("fetch", "io", ts_us, ins.now_us() - ts_us)
-            .tid(w as u32)
-            .arg_s("tier", tier)
-            .arg_u("sample", req.sample.0 as u64)
-            .arg_u("bytes", bytes.len() as u64)
-    });
-    if ins.is_enabled() {
-        let cell = if tier == "cache" {
-            &stage_accum.fetch_local_ns[req.consumer]
-        } else {
-            &stage_accum.fetch_store_ns[req.consumer]
-        };
-        cell.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let flight_tier = if tier == "cache" {
-            FlightTier::Cache
-        } else {
-            FlightTier::Store
-        };
-        ins.flight_fetch_us(flight_tier, t0.elapsed().as_micros() as u64);
-        ins.telemetry_fetch_us(flight_tier, t0.elapsed().as_micros() as u64);
+        // Senders drop here: the pool drains and exits.
     }
-    Some(bytes)
+}
+
+/// What one pool pass did.
+enum Pass {
+    Worked,
+    Idle,
+    Exit,
+}
+
+/// The loader arm of a pool worker: the request queues and, until the
+/// feed is exhausted, this worker's raw sender.
+struct Fetch {
+    req_rx: Vec<Receiver<Req>>,
+    raw_tx: Option<Sender<Raw>>,
+}
+
+impl Fetch {
+    /// Take the next request (primary queue first), fetch it through the
+    /// cache, and send the raw bytes on.
+    fn step(&mut self, sh: &Shared, w: usize) -> Pass {
+        let req = match next_request(&self.req_rx, sh.assignment[w].load(Ordering::Relaxed)) {
+            Ok(req) => req,
+            Err(TryRecvError::Empty) => return Pass::Idle,
+            Err(TryRecvError::Disconnected) => {
+                // Feed exhausted: latch it for the whole pool and fall
+                // through to preproc mode.
+                sh.feed_done.store(true, Ordering::Relaxed);
+                self.raw_tx = None;
+                return Pass::Worked;
+            }
+        };
+        sh.ins.trace(|| {
+            TraceEvent::instant("queue_dequeue", "queue", sh.ins.now_us())
+                .tid(req.consumer as u32)
+                .arg_u("depth", self.req_rx[req.consumer].len() as u64)
+                .arg_u("worker", w as u64)
+        });
+        let Some(bytes) = Self::fetch(sh, w, &req) else {
+            // The store was cancelled: nothing more can be loaded, so take
+            // the whole run down instead of leaving the consumers waiting.
+            sh.abort();
+            return Pass::Exit;
+        };
+        // A blocking send could hang if the run aborts while the raw channel
+        // is full (it never disconnects); time-boxed sends re-check the latch.
+        let tx = self.raw_tx.as_ref().expect("loader arm holds a raw sender");
+        let mut item = Raw { req, bytes };
+        loop {
+            match tx.send_timeout(item, Duration::from_millis(5)) {
+                Ok(()) => return Pass::Worked,
+                Err(SendTimeoutError::Timeout(it)) if !sh.aborted.load(Ordering::Relaxed) => {
+                    item = it
+                }
+                Err(_) => return Pass::Exit,
+            }
+        }
+    }
+
+    /// One resilient fetch through the cache, with poisoned-worker
+    /// containment (the panic is caught, counted, and the request
+    /// re-executed). `None` means the store was cancelled.
+    fn fetch(sh: &Shared, w: usize, req: &Req) -> Option<Arc<Vec<u8>>> {
+        let ins = &sh.ins;
+        let (t0, ts_us) = (Instant::now(), ins.now_us());
+        if ins.is_enabled() {
+            sh.accum[req.consumer]
+                .queue_wait_ns
+                .fetch_add(ts_us.saturating_sub(req.enq_us) * 1_000, Ordering::Relaxed);
+        }
+        let key = sh.clock.fetch_add(1, Ordering::Relaxed);
+        sh.fetches_m.inc();
+        let (bytes, tier) = match sh.cache.get_or_claim(req.sample, key) {
+            Lookup::Hit(b) => (b, FlightTier::Cache),
+            Lookup::Claim(claim) => {
+                // Poisoned-worker containment: an injected poison panics inside
+                // the fetch (no locks held); it is caught, logged and retried,
+                // so the worker "restarts". Returning on cancellation drops the
+                // claim, handing the fetch to any loader waiting on this id.
+                let fetched = loop {
+                    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        sh.rstore.fetch(req.sample)
+                    }));
+                    match attempt {
+                        Ok(Ok(bytes)) => break Arc::new(bytes),
+                        Ok(Err(FetchError::Cancelled)) => return None,
+                        Ok(Err(_)) => unreachable!("ResilientStore absorbs non-cancel errors"),
+                        Err(_) => {
+                            sh.worker_panics.fetch_add(1, Ordering::Relaxed);
+                            sh.panics_m.inc();
+                            let ts = ins.now_us();
+                            ins.trace(|| {
+                                TraceEvent::instant("worker_panic", "fault", ts)
+                                    .tid(w as u32)
+                                    .arg_u("sample", req.sample.0 as u64)
+                            });
+                            ins.flight(|| FlightEvent::Fault {
+                                kind: FlightFault::WorkerPanic,
+                                sample: req.sample.0 as u64,
+                            });
+                        }
+                    }
+                };
+                claim.fill(Arc::clone(&fetched), key);
+                (fetched, FlightTier::Store)
+            }
+        };
+        let cached = tier == FlightTier::Cache;
+        ins.trace(|| {
+            TraceEvent::span("fetch", "io", ts_us, ins.now_us() - ts_us)
+                .tid(w as u32)
+                .arg_s("tier", if cached { "cache" } else { "store" })
+                .arg_u("sample", req.sample.0 as u64)
+                .arg_u("bytes", bytes.len() as u64)
+        });
+        if ins.is_enabled() {
+            let acc = &sh.accum[req.consumer];
+            let cell = if cached {
+                &acc.fetch_local_ns
+            } else {
+                &acc.fetch_store_ns
+            };
+            cell.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            ins.flight_fetch_us(tier, t0.elapsed().as_micros() as u64);
+            ins.telemetry_fetch_us(tier, t0.elapsed().as_micros() as u64);
+        }
+        Some(bytes)
+    }
+}
+
+/// The preprocessing arm of a pool worker: the raw queue and the cooked
+/// senders.
+struct Transform {
+    raw_rx: Receiver<Raw>,
+    cooked_tx: Vec<Sender<Cooked>>,
+}
+
+impl Transform {
+    /// Preprocess one raw sample and deliver it to its consumer's channel.
+    fn step(&self, sh: &Shared, w: usize) -> Pass {
+        let raw = match self.raw_rx.try_recv() {
+            Ok(raw) => raw,
+            Err(TryRecvError::Empty) => return Pass::Idle,
+            // All raw senders handed back and the channel drained: the
+            // pool's work is over.
+            Err(TryRecvError::Disconnected) => return Pass::Exit,
+        };
+        let ins = &sh.ins;
+        let (ts_us, t0) = (ins.now_us(), Instant::now());
+        let cooked = preprocess(&raw.bytes, sh.cost(raw.req.iter, raw.req.sample));
+        ins.trace(|| {
+            TraceEvent::span("preprocess", "compute", ts_us, ins.now_us() - ts_us)
+                .tid(w as u32)
+                .arg_u("consumer", raw.req.consumer as u64)
+                .arg_u("bytes", raw.bytes.len() as u64)
+        });
+        if ins.is_enabled() {
+            sh.accum[raw.req.consumer]
+                .preproc_ns
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+        let cooked = Cooked {
+            iter: raw.req.iter,
+            sample: raw.req.sample,
+            bytes: cooked,
+        };
+        match self.cooked_tx[raw.req.consumer].send(cooked) {
+            Ok(()) => Pass::Worked,
+            Err(_) => Pass::Exit,
+        }
+    }
+}
+
+/// One pool worker: every pass reads the worker's role off the board and
+/// runs that arm's step. The worker hands its raw sender back once the
+/// feed is exhausted, so the raw channel disconnects and the pool drains
+/// without a join; it leaves at once when the run aborts. A pass that finds
+/// no work naps.
+fn pool_worker(sh: &Shared, w: usize, mut fetch: Fetch, transform: Transform) {
+    while !sh.aborted.load(Ordering::Relaxed) {
+        if fetch.raw_tx.is_some() && sh.feed_done.load(Ordering::Relaxed) {
+            fetch.raw_tx = None;
+        }
+        let pass = if fetch.raw_tx.is_some() && sh.board.role(w) == ROLE_LOADER {
+            fetch.step(sh, w)
+        } else {
+            transform.step(sh, w)
+        };
+        match pass {
+            Pass::Worked => {}
+            Pass::Idle => std::thread::sleep(IDLE_NAP),
+            Pass::Exit => return,
+        }
+    }
+}
+
+/// A consumer ("GPU"): assembles each iteration's batch off its cooked
+/// channel, inverts and fingerprints it, trains, and waits on the barrier.
+struct Deliver {
+    consumer: usize,
+    rx: Receiver<Cooked>,
+    /// Samples may arrive slightly out of iteration order when several
+    /// workers serve one queue; early arrivals wait here.
+    stash: HashMap<u64, Vec<Cooked>>,
+    /// One batch buffer for the whole run.
+    have: Vec<Cooked>,
+    /// The sorted sample ids of every completed iteration.
+    log: Vec<Vec<u64>>,
+}
+
+impl Deliver {
+    /// Run every iteration; return the delivery log and, for consumer 0,
+    /// the ticker with its logs.
+    fn run(mut self, sh: &Shared, mut ticker: Option<Ticker>) -> (Vec<Vec<u64>>, Option<Ticker>) {
+        if let Some(t) = ticker.as_mut() {
+            t.t0 = Instant::now(); // iteration 0 starts here, not at setup
+        }
+        for iter in 0..sh.total_iters {
+            if let Some(t) = ticker.as_mut() {
+                t.membership(sh, iter);
+            }
+            if !self.assemble(sh, iter) {
+                // The upstream pipeline died: abort instead of deadlocking.
+                sh.abort();
+                break;
+            }
+            self.check(sh, iter);
+            // "Training".
+            std::thread::sleep(sh.cfg.train);
+            // Gradient-allreduce stand-in.
+            let wait_ts = sh.ins.now_us();
+            if sh.ins.is_enabled() {
+                // Published before the barrier, so every arrival is visible
+                // to consumer 0's post-barrier snapshot.
+                sh.accum[self.consumer]
+                    .arrival_us
+                    .store(wait_ts, Ordering::Relaxed);
+            }
+            if sh.barrier.wait().is_err() {
+                break; // another consumer aborted the run
+            }
+            sh.barrier_m.inc();
+            sh.ins.trace(|| {
+                TraceEvent::span("barrier_wait", "sync", wait_ts, sh.ins.now_us() - wait_ts)
+                    .tid(self.consumer as u32)
+                    .arg_u("iter", iter)
+            });
+            if let Some(t) = ticker.as_mut() {
+                t.after_barrier(sh, iter);
+            }
+        }
+        (self.log, ticker)
+    }
+
+    /// Fill the batch for `iter`; false once the cooked channel is
+    /// disconnected (the pool is gone).
+    fn assemble(&mut self, sh: &Shared, iter: u64) -> bool {
+        if let Some(early) = self.stash.remove(&iter) {
+            self.have.extend(early);
+        }
+        while self.have.len() < sh.cfg.batch_size {
+            match self.rx.recv() {
+                Ok(c) if c.iter == iter => self.have.push(c),
+                Ok(c) => self.stash.entry(c.iter).or_default().push(c),
+                Err(_) => return false,
+            }
+        }
+        true
+    }
+
+    /// End-to-end integrity: un-mix each delivered buffer in place,
+    /// fingerprint it, log the batch, and return the credits.
+    fn check(&mut self, sh: &Shared, iter: u64) {
+        let mut acc = 0u64;
+        for c in &mut self.have {
+            invert_in_place(&mut c.bytes, sh.cost(iter, c.sample));
+            acc ^= sample_checksum(&c.bytes);
+        }
+        let mut ids: Vec<u64> = self.have.iter().map(|c| c.sample.0 as u64).collect();
+        ids.sort_unstable();
+        self.log.push(ids);
+        let n = self.have.len() as u64;
+        sh.integrity.fetch_xor(acc, Ordering::Relaxed);
+        sh.delivered.fetch_add(n, Ordering::Relaxed);
+        sh.delivered_m.add(n);
+        sh.consumed[self.consumer].fetch_add(n, Ordering::Relaxed);
+        self.have.clear();
+    }
+}
+
+/// Consumer 0's per-iteration bookkeeping: membership at the tick
+/// boundary, the stage-sample / flight / telemetry frame after the
+/// barrier, and the elastic tick for the next iteration. Its logs become
+/// the report's.
+struct Ticker {
+    ctl: Option<ElasticController>,
+    /// Per-sample work estimate fed to the elastic controller.
+    sample_bytes: f64,
+    /// Start of the current iteration (barrier to barrier).
+    t0: Instant,
+    /// Each consumer's cumulative stage totals at the previous barrier, ns.
+    prev_stage: Vec<[u64; 4]>,
+    /// The previous iteration boundary, µs.
+    iter_start_us: u64,
+    /// Cumulative [hits, misses, evictions, retries, delivered] at the
+    /// previous barrier: telemetry frames carry per-tick deltas.
+    tele_prev: [u64; 5],
+    iteration_secs: Vec<f64>,
+    role_flips: Vec<ElasticDecision>,
+    membership: Vec<MembershipEvent>,
+}
+
+impl Ticker {
+    /// Tick 0 runs here, before any worker spawns: the pool starts on the
+    /// controller's split for the first iteration.
+    fn new(sh: &Shared) -> Ticker {
+        let cfg = &sh.cfg;
+        let mut ticker = Ticker {
+            ctl: cfg.elastic.then(|| {
+                let pool = sh.board.len() as u32;
+                let mut params = ElasticParams::for_pool(pool, cfg.consumers as u32);
+                params.force_churn = cfg.elastic_churn;
+                ElasticController::new(params, cfg.preproc_threads as u32)
+            }),
+            sample_bytes: cfg.work_estimate.per_sample_bytes(sh.store.dataset()),
+            t0: Instant::now(),
+            prev_stage: vec![[0; 4]; cfg.consumers],
+            iter_start_us: 0,
+            tele_prev: [0; 5],
+            iteration_secs: Vec::with_capacity(sh.total_iters as usize),
+            role_flips: Vec::new(),
+            membership: Vec::new(),
+        };
+        ticker.elastic_tick(sh, 0);
+        ticker
+    }
+
+    /// Membership first: the tick's crashes/rejoins take effect before any
+    /// of this iteration's arrivals are consumed, mirroring the simulators'
+    /// tick-boundary ordering.
+    fn membership(&mut self, sh: &Shared, iter: u64) {
+        let Some(plan) = sh.crash_plan.as_ref() else {
+            return;
+        };
+        for e in plan.membership_events_at(iter) {
+            let crashed = e.transition == MembershipTransition::Crashed;
+            let ts = sh.ins.now_us();
+            sh.ins.trace(|| {
+                let name = if crashed { "node_crash" } else { "node_rejoin" };
+                TraceEvent::instant(name, "membership", ts)
+                    .arg_u("iter", iter)
+                    .arg_u("node", e.node as u64)
+            });
+            sh.ins.flight(|| FlightEvent::MembershipChange {
+                tick: iter,
+                node: e.node,
+                crashed,
+            });
+            self.membership.push(e);
+        }
+        sh.store.set_down_mask(plan.down_mask_at(iter));
+    }
+
+    /// Past iteration `iter`'s barrier: record its wall time, emit its
+    /// frame, and tick the pool for the next iteration.
+    fn after_barrier(&mut self, sh: &Shared, iter: u64) {
+        let iter_wall = self.t0.elapsed();
+        self.iteration_secs.push(iter_wall.as_secs_f64());
+        self.t0 = Instant::now();
+        if sh.ins.is_enabled() {
+            self.frame(sh, iter, iter_wall);
+        }
+        if iter + 1 < sh.total_iters {
+            self.elastic_tick(sh, iter + 1);
+        }
+    }
+
+    /// Iteration `iter`'s per-consumer stage samples (analyzer and flight
+    /// recorder) and its telemetry tick.
+    fn frame(&mut self, sh: &Shared, iter: u64, iter_wall: Duration) {
+        use lobster_metrics::analysis::BlameCategory as B;
+        let ins = &sh.ins;
+        let end_us = ins.now_us();
+        let cats = [B::LocalFetch, B::PfsFetch, B::Preprocess, B::QueueWait];
+        let samples: Vec<lobster_metrics::GpuIterSample> = (sh.accum.iter())
+            .zip(&mut self.prev_stage)
+            .enumerate()
+            .map(|(c, (acc, prev))| {
+                let cur = [
+                    &acc.fetch_local_ns,
+                    &acc.fetch_store_ns,
+                    &acc.preproc_ns,
+                    &acc.queue_wait_ns,
+                ]
+                .map(|cell| cell.load(Ordering::Relaxed));
+                let mut stages = lobster_metrics::StageSample::default();
+                for (cat, (now, before)) in cats.into_iter().zip(cur.into_iter().zip(*prev)) {
+                    stages.add(cat, now.saturating_sub(before) as f64 / 1e9);
+                }
+                *prev = cur;
+                let arrival = acc.arrival_us.load(Ordering::Relaxed);
+                stages.add(B::Train, sh.cfg.train.as_secs_f64());
+                stages.add(B::Barrier, end_us.saturating_sub(arrival) as f64 / 1e6);
+                let iter_s = arrival.saturating_sub(self.iter_start_us) as f64 / 1e6;
+                let iter_us = (iter_s * 1e6) as u64;
+                ins.flight(|| FlightEvent::Stage {
+                    iter,
+                    node: 0,
+                    gpu: c as u32,
+                    iter_us,
+                    stages,
+                });
+                lobster_metrics::GpuIterSample {
+                    node: 0,
+                    gpu: c as u32,
+                    iter_s,
+                    stages,
+                }
+            })
+            .collect();
+        self.iter_start_us = end_us;
+        let Some(out) = ins.observe_iteration(iter, end_us, || samples) else {
+            return;
+        };
+        ins.flight(|| FlightEvent::Iteration {
+            iter,
+            gap_us: (out.gap_s * 1e6) as u64,
+            ewma_gap_us: (out.ewma_gap_s * 1e6) as u64,
+        });
+        // Telemetry frame for this tick: cache / retry / delivery counters as
+        // deltas since the previous barrier, the measured gap and wall time
+        // quantized to µs, and the live membership mask.
+        let cum = [
+            sh.cache.hit_count(),
+            sh.cache.miss_count(),
+            sh.evictions_m.value(),
+            sh.rstore.stats().retries,
+            sh.delivered.load(Ordering::Relaxed),
+        ];
+        let d: [u64; 5] = std::array::from_fn(|i| cum[i].saturating_sub(self.tele_prev[i]));
+        self.tele_prev = cum;
+        let (lw, pw) = sh.board.counts();
+        ins.record_tick(lobster_metrics::TickScalars {
+            tick: iter,
+            gap_us: (out.gap_s * 1e6) as u64,
+            iter_us: iter_wall.as_micros() as u64,
+            local_hits: d[0],
+            remote_hits: 0,
+            misses: d[1],
+            prefetched: 0,
+            evictions: d[2],
+            retries: d[3],
+            delivered: d[4],
+            preproc_workers: pw as u32,
+            loader_workers: lw as u32,
+            down_mask: sh.crash_plan.as_ref().map_or(0, |p| p.down_mask_at(iter)),
+        });
+    }
+
+    /// The elastic tick for iteration `iter`: decide the preproc↔loader
+    /// split from the deterministic model inputs, publish and log it.
+    /// Measured stage times flow into the decision *record* only, so the
+    /// simulators reproduce the flip sequence. Tick 0 records nothing.
+    fn elastic_tick(&mut self, sh: &Shared, iter: u64) {
+        let Some(ctl) = self.ctl.as_mut() else {
+            return;
+        };
+        let (cfg, ins) = (&sh.cfg, &sh.ins);
+        let obs = ElasticObservation::for_iteration(
+            iter,
+            self.sample_bytes,
+            cfg.work_factor_at(iter),
+            (cfg.consumers * cfg.batch_size) as u64,
+            cfg.train.as_secs_f64(),
+        );
+        let d = ctl.tick(&obs).clone();
+        let pool = sh.board.len() as u32;
+        sh.preproc_g.set(d.preproc_after as i64);
+        sh.loader_g.set((pool - d.preproc_after) as i64);
+        if iter > 0 && !d.flipped.is_empty() && ins.is_enabled() {
+            sh.decisions_m.inc();
+            let ts = ins.now_us();
+            ins.trace(|| {
+                TraceEvent::instant("role_flip", "controller", ts)
+                    .arg_u("iter", iter)
+                    .arg_u("preproc_workers", d.preproc_after as u64)
+                    .arg_u("flips", d.flipped.len() as u64)
+            });
+            ins.flight(|| FlightEvent::RoleFlip {
+                tick: iter,
+                loaders: pool - d.preproc_after,
+                preprocs: d.preproc_after,
+                flips: d.flipped.len() as u32,
+            });
+            ins.record_decision(DecisionRecord {
+                ts_us: ts,
+                source: DecisionSource::ElasticPool,
+                node: 0,
+                queue_loads: (0..cfg.consumers)
+                    .map(|c| sh.accum[c].preproc_ns.load(Ordering::Relaxed) as f64 / 1e9)
+                    .collect(),
+                predicted_cost: vec![d.predicted_batch_secs],
+                threads_before: vec![pool - d.preproc_before, d.preproc_before],
+                threads_after: vec![pool - d.preproc_after, d.preproc_after],
+                gap_s: Some(cfg.train.as_secs_f64() - d.predicted_batch_secs),
+                evals: d.evals,
+                converged: d.converged,
+                anomalies_before: 0,
+            });
+        }
+        publish_roles(ctl.roles(), &d.loader_queues, &sh.board, &sh.assignment);
+        self.role_flips.push(d);
+    }
 }
 
 /// The canonical integrity fingerprint of a full run: XOR of every
@@ -432,693 +1022,87 @@ pub fn run(store: Arc<SyntheticStore>, cfg: EngineConfig) -> EngineReport {
 /// [`DecisionRecord`] per elastic role flip. With
 /// [`Instruments::disabled`] this is exactly [`run`].
 pub fn run_with(store: Arc<SyntheticStore>, cfg: EngineConfig, ins: Instruments) -> EngineReport {
-    assert!(cfg.consumers > 0 && cfg.batch_size > 0);
-    assert!(cfg.loader_threads > 0 && cfg.preproc_threads > 0);
-    let spec = schedule_spec(store.dataset(), &cfg);
-    let iters_per_epoch = spec.iterations_per_epoch();
-    assert!(iters_per_epoch > 0, "dataset too small for one iteration");
-    let total_iters = iters_per_epoch as u64 * cfg.epochs;
-
-    let cache = Arc::new(ShardCache::with_instruments(cfg.cache_bytes, ins.clone()));
-    let clock = Arc::new(AtomicU64::new(0));
-    let fetches_m = ins.counter("engine.fetches");
-    let delivered_m = ins.counter("engine.delivered");
-    let decisions_m = ins.counter("engine.controller_decisions");
-    let barrier_m = ins.counter("engine.barrier_waits");
-    let panics_m = ins.counter("engine.worker_panics");
-
-    // Tick-deterministic membership: compile the crash schedule once and
-    // let consumer 0 apply each tick's down-mask at the iteration
-    // boundary. Timing of *which* in-flight fetch observes the mask races
-    // (benign: a PeerDown fails over to the PFS and still delivers
-    // verified bytes); the membership event sequence itself is a pure
-    // function of the schedule.
-    let crash_plan = (!cfg.crashes.is_empty()).then(|| {
-        FaultSpec {
-            crashes: cfg.crashes.clone(),
-            seed: cfg.seed,
-            ..FaultSpec::default()
-        }
-        .compile()
-        .expect("engine crash schedule must be valid")
-    });
-    if cfg.peer_nodes > 0 {
-        store.configure_peers(cfg.peer_nodes);
-    }
-    let membership_log: Arc<parking_lot::Mutex<Vec<MembershipEvent>>> =
-        Arc::new(parking_lot::Mutex::new(Vec::new()));
-
-    // The self-healing fetch path every loader goes through.
-    let cancel = store.cancel_handle();
-    let rstore = Arc::new(ResilientStore::new(
-        Arc::clone(&store),
-        cfg.retry,
-        ins.clone(),
-    ));
-    let worker_panics = Arc::new(AtomicU64::new(0));
-
+    let sh = Shared::new(store, cfg, ins);
+    let (consumers, batch) = (sh.cfg.consumers, sh.cfg.batch_size);
     // Per-consumer request queues (the §4.2 multi-queue) and cooked-sample
-    // delivery channels.
-    let mut req_tx: Vec<Sender<Req>> = Vec::new();
-    let mut req_rx: Vec<Receiver<Req>> = Vec::new();
-    let mut cooked_tx: Vec<Sender<Cooked>> = Vec::new();
-    let mut cooked_rx: Vec<Receiver<Cooked>> = Vec::new();
-    for _ in 0..cfg.consumers {
-        let (tx, rx) = bounded::<Req>(2 * cfg.batch_size);
-        req_tx.push(tx);
-        req_rx.push(rx);
-        // Unbounded so a preprocessing worker can never block on one
-        // consumer's channel while other consumers starve behind it
-        // (deadlock via the barrier); total in-flight work is bounded by
-        // the feeder's credit pacing, not by this channel.
-        let (tx, rx) = unbounded::<Cooked>();
-        cooked_tx.push(tx);
-        cooked_rx.push(rx);
-    }
-    let (raw_tx, raw_rx) = bounded::<Raw>(4 * cfg.batch_size * cfg.consumers);
+    // channels. Cooked channels are unbounded so a preprocessing worker never
+    // blocks on one consumer while others starve behind it (deadlock via the
+    // barrier); the feeder's credit pacing bounds in-flight work instead.
+    let (req_tx, req_rx): (Vec<_>, Vec<_>) = (0..consumers).map(|_| bounded(2 * batch)).unzip();
+    let (cooked_tx, cooked_rx): (Vec<_>, Vec<_>) = (0..consumers).map(|_| unbounded()).unzip();
+    let (raw_tx, raw_rx) = bounded::<Raw>(4 * batch * consumers);
+    let mut ticker = Some(Ticker::new(&sh));
 
-    // One worker pool: each worker loads or preprocesses as the role board
-    // says. Without `elastic` the board keeps the configured split.
-    let pool = cfg.loader_threads + cfg.preproc_threads;
-    // Each pool slot's primary request queue when it loads; only the
-    // elastic controller rewrites it.
-    let assignment: Arc<Vec<AtomicUsize>> = Arc::new(
-        (0..pool)
-            .map(|w| AtomicUsize::new(w % cfg.consumers))
-            .collect(),
-    );
-    // Pool state: the shared role table, the "feed is exhausted" latch that
-    // lets loader-role workers hand their raw senders back, and the
-    // per-tick elastic decision log surfaced in the report.
-    let board = Arc::new(RoleBoard::new(cfg.loader_threads, cfg.preproc_threads));
-    let feed_done = Arc::new(AtomicBool::new(false));
-    let role_flip_log: Arc<parking_lot::Mutex<Vec<ElasticDecision>>> =
-        Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let preproc_g = ins.gauge("engine.preproc_workers");
-    let loader_g = ins.gauge("engine.loader_workers");
-    let mean_sample_bytes = cfg.work_estimate.per_sample_bytes(store.dataset());
-    // Per-sample preprocessing cost multipliers (unit on classic datasets),
-    // shared with every transform site so the live engine spends the same
-    // work the simulators account for.
-    let sample_costs: Arc<Vec<u32>> = Arc::new(
-        (0..store.dataset().len())
-            .map(|i| store.dataset().cost_of(SampleId(i as u32)))
-            .collect(),
-    );
-    let batch_samples = (cfg.consumers * cfg.batch_size) as u64;
-    let mut elastic_ctl = if cfg.elastic {
-        let mut params = ElasticParams::for_pool(pool as u32, cfg.consumers as u32);
-        params.force_churn = cfg.elastic_churn;
-        let mut ctl = ElasticController::new(params, cfg.preproc_threads as u32);
-        // Tick 0 runs before any worker spawns: the pool starts on the
-        // regression's split for the first iteration.
-        let obs = ElasticObservation::for_iteration(
-            0,
-            mean_sample_bytes,
-            cfg.work_factor_at(0),
-            batch_samples,
-            cfg.train.as_secs_f64(),
-        );
-        let d = ctl.tick(&obs).clone();
-        apply_elastic_decision(&ctl, &d, &board, &assignment);
-        preproc_g.set(d.preproc_after as i64);
-        loader_g.set(pool as i64 - d.preproc_after as i64);
-        role_flip_log.lock().push(d);
-        Some(ctl)
-    } else {
-        None
-    };
-    let done = Arc::new(AtomicBool::new(false));
-    let aborted = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(AbortableBarrier::new(cfg.consumers));
-    let delivered = Arc::new(AtomicU64::new(0));
-    let integrity = Arc::new(AtomicU64::new(0));
-    // Credit pacing: at most `inflight_limit` samples per consumer between
-    // the feeder and the consumer's consumption counter.
-    let consumed: Arc<Vec<AtomicU64>> =
-        Arc::new((0..cfg.consumers).map(|_| AtomicU64::new(0)).collect());
-    let inflight_limit = (4 * cfg.batch_size) as u64;
-    let iter_times: Arc<parking_lot::Mutex<Vec<f64>>> = Arc::new(parking_lot::Mutex::new(
-        Vec::with_capacity(total_iters as usize),
-    ));
-    let stage_accum = Arc::new(StageAccum::new(cfg.consumers));
-    // Per-consumer delivery log, written once per consumer at thread exit.
-    let delivered_log: Arc<parking_lot::Mutex<Vec<Vec<Vec<u64>>>>> =
-        Arc::new(parking_lot::Mutex::new(vec![Vec::new(); cfg.consumers]));
-
-    crossbeam::scope(|scope| {
-        // ---- Feeder: streams every request in schedule order. ----
-        {
-            let req_tx = req_tx.clone();
-            let cfg = cfg.clone();
-            let consumed = Arc::clone(&consumed);
-            let done = Arc::clone(&done);
-            let ins = ins.clone();
-            scope.spawn(move |_| {
-                let mut sent = vec![0u64; cfg.consumers];
-                for epoch in 0..cfg.epochs {
-                    let sched = engine_schedule(spec, epoch, &cfg);
-                    for h in 0..iters_per_epoch {
-                        let iter = epoch * iters_per_epoch as u64 + h as u64;
-                        for consumer in 0..cfg.consumers {
-                            for &sample in sched.batch(h, 0, consumer) {
-                                // Credit pacing bounds total in-flight work
-                                // per consumer regardless of queue sizes.
-                                while sent[consumer] - consumed[consumer].load(Ordering::Relaxed)
-                                    >= inflight_limit
-                                {
-                                    if done.load(Ordering::Relaxed) {
-                                        // Aborted mid-run: nobody will ever
-                                        // consume again; stop feeding.
-                                        return;
-                                    }
-                                    std::thread::sleep(Duration::from_micros(50));
-                                }
-                                // A disconnected queue means the loaders are
-                                // gone (engine unwinding): stop feeding
-                                // instead of panicking mid-teardown.
-                                if req_tx[consumer]
-                                    .send(Req {
-                                        iter,
-                                        consumer,
-                                        sample,
-                                        enq_us: ins.now_us(),
-                                    })
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                                sent[consumer] += 1;
-                                ins.trace(|| {
-                                    TraceEvent::instant("queue_enqueue", "queue", ins.now_us())
-                                        .tid(consumer as u32)
-                                        .arg_u("depth", req_tx[consumer].len() as u64)
-                                        .arg_u("sample", sample.0 as u64)
-                                });
-                            }
-                        }
-                    }
-                }
-                // Senders drop here: loaders drain and exit.
-            });
-        }
-        drop(req_tx); // feeder holds the only request senders now
-
-        // ---- Worker pool: every worker can load or preprocess. ----
-        // A worker reads its role off the shared board at the top of every
-        // pass: loader-role workers pull requests and push raw bytes,
-        // preproc-role workers drain the raw channel. Each worker holds its
-        // own raw sender inside an `Option` and hands it back once the feed
-        // is exhausted (`feed_done`), so the raw channel disconnects and the
-        // pool drains without a join. A pass that finds no work naps.
-        for w in 0..pool {
-            let req_rx = req_rx.clone();
-            let raw_rx = raw_rx.clone();
-            let raw_tx = raw_tx.clone();
-            let cooked_tx = cooked_tx.clone();
-            let cache = Arc::clone(&cache);
-            let clock = Arc::clone(&clock);
-            let rstore = Arc::clone(&rstore);
-            let assignment = Arc::clone(&assignment);
-            let worker_panics = Arc::clone(&worker_panics);
-            let stage_accum = Arc::clone(&stage_accum);
-            let board = Arc::clone(&board);
-            let feed_done = Arc::clone(&feed_done);
-            let done = Arc::clone(&done);
-            let cfg2 = cfg.clone();
-            let sample_costs = Arc::clone(&sample_costs);
-            let ins = ins.clone();
-            let fetches_m = fetches_m.clone();
-            let panics_m = panics_m.clone();
-            scope.spawn(move |_| {
-                let mut raw_tx = Some(raw_tx);
-                loop {
-                    if raw_tx.is_some() && feed_done.load(Ordering::Relaxed) {
-                        raw_tx = None;
-                    }
-                    let worked = match raw_tx.as_ref() {
-                        Some(tx) if board.role(w) == ROLE_LOADER => {
-                            let primary = assignment[w].load(Ordering::Relaxed);
-                            match next_request(&req_rx, primary) {
-                                Ok(req) => {
-                                    ins.trace(|| {
-                                        TraceEvent::instant("queue_dequeue", "queue", ins.now_us())
-                                            .tid(req.consumer as u32)
-                                            .arg_u("depth", req_rx[req.consumer].len() as u64)
-                                            .arg_u("worker", w as u64)
-                                    });
-                                    let Some(bytes) = fetch_one(
-                                        &req,
-                                        w,
-                                        &cache,
-                                        &clock,
-                                        &rstore,
-                                        &worker_panics,
-                                        &panics_m,
-                                        &fetches_m,
-                                        &stage_accum,
-                                        &ins,
-                                    ) else {
-                                        return; // store cancelled
-                                    };
-                                    // A bounded send could block forever if
-                                    // the run aborts while the raw channel is
-                                    // full (the other pool slots hold live
-                                    // receivers, so it never disconnects);
-                                    // time-boxed sends re-check the abort
-                                    // latch instead.
-                                    let mut item = Raw { req, bytes };
-                                    loop {
-                                        match tx.send_timeout(item, Duration::from_millis(5)) {
-                                            Ok(()) => break,
-                                            Err(SendTimeoutError::Timeout(it)) => {
-                                                if done.load(Ordering::Relaxed) {
-                                                    return;
-                                                }
-                                                item = it;
-                                            }
-                                            Err(SendTimeoutError::Disconnected(_)) => return,
-                                        }
-                                    }
-                                    true
-                                }
-                                Err(TryRecvError::Empty) => false,
-                                Err(TryRecvError::Disconnected) => {
-                                    // Feed exhausted: latch it for the whole
-                                    // pool and fall through to preproc mode.
-                                    feed_done.store(true, Ordering::Relaxed);
-                                    raw_tx = None;
-                                    true
-                                }
-                            }
-                        }
-                        _ => match raw_rx.try_recv() {
-                            Ok(raw) => {
-                                let ts_us = ins.now_us();
-                                let t0 = Instant::now();
-                                let cooked = preprocess(
-                                    &raw.bytes,
-                                    cfg2.work_factor_at(raw.req.iter)
-                                        .saturating_mul(sample_costs[raw.req.sample.index()]),
-                                );
-                                ins.trace(|| {
-                                    TraceEvent::span(
-                                        "preprocess",
-                                        "compute",
-                                        ts_us,
-                                        ins.now_us() - ts_us,
-                                    )
-                                    .tid(w as u32)
-                                    .arg_u("consumer", raw.req.consumer as u64)
-                                    .arg_u("bytes", raw.bytes.len() as u64)
-                                });
-                                if ins.is_enabled() {
-                                    stage_accum.preproc_ns[raw.req.consumer].fetch_add(
-                                        t0.elapsed().as_nanos() as u64,
-                                        Ordering::Relaxed,
-                                    );
-                                }
-                                if cooked_tx[raw.req.consumer]
-                                    .send(Cooked {
-                                        iter: raw.req.iter,
-                                        sample: raw.req.sample,
-                                        bytes: cooked,
-                                    })
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                                true
-                            }
-                            Err(TryRecvError::Empty) => false,
-                            // All raw senders handed back and the channel
-                            // drained: the pool's work is over.
-                            Err(TryRecvError::Disconnected) => return,
-                        },
-                    };
-                    if !worked {
-                        std::thread::sleep(IDLE_NAP);
-                    }
-                }
-            });
-        }
-        drop(raw_tx);
-        drop(cooked_tx);
-        drop(raw_rx);
-
-        // ---- Consumers ("GPUs"). ----
-        let remaining = Arc::new(AtomicUsize::new(cfg.consumers));
-        for consumer in 0..cfg.consumers {
-            let rx = cooked_rx[consumer].clone();
-            let cfg2 = cfg.clone();
-            let barrier = Arc::clone(&barrier);
-            let delivered = Arc::clone(&delivered);
-            let integrity = Arc::clone(&integrity);
-            let iter_times = Arc::clone(&iter_times);
-            let done = Arc::clone(&done);
-            let aborted = Arc::clone(&aborted);
-            let cancel = Arc::clone(&cancel);
-            let remaining = Arc::clone(&remaining);
-            let consumed = Arc::clone(&consumed);
-            let stage_accum = Arc::clone(&stage_accum);
-            let delivered_log = Arc::clone(&delivered_log);
-            let ins = ins.clone();
-            let delivered_m = delivered_m.clone();
-            let barrier_m = barrier_m.clone();
-            // Consumer 0 drives the elastic controller at tick boundaries.
-            let mut ctl = if consumer == 0 {
-                elastic_ctl.take()
-            } else {
-                None
+    let (logs, tickers): (_, Vec<_>) = std::thread::scope(|s| {
+        let sh = &sh;
+        s.spawn(move || Feeder { req_tx }.run(sh));
+        for w in 0..sh.board.len() {
+            let fetch = Fetch {
+                req_rx: req_rx.clone(),
+                raw_tx: Some(raw_tx.clone()),
             };
-            let board = Arc::clone(&board);
-            let assignment = Arc::clone(&assignment);
-            let role_flip_log = Arc::clone(&role_flip_log);
-            let membership_log = Arc::clone(&membership_log);
-            let crash_plan = crash_plan.clone();
-            let member_store = Arc::clone(&store);
-            let preproc_g = preproc_g.clone();
-            let loader_g = loader_g.clone();
-            let decisions_m = decisions_m.clone();
-            let cache = Arc::clone(&cache);
-            let rstore = Arc::clone(&rstore);
-            let sample_costs = Arc::clone(&sample_costs);
-            let evictions_m = ins.counter("engine.cache_evictions");
-            scope.spawn(move |_| {
-                // Samples may arrive slightly out of iteration order when
-                // several workers serve one queue; stash early arrivals.
-                let mut stash: std::collections::HashMap<u64, Vec<Cooked>> =
-                    std::collections::HashMap::new();
-                let mut t0 = Instant::now();
-                // Consumer 0's analyzer state: last cumulative stage totals
-                // per consumer and the previous iteration boundary.
-                let mut prev_stage = vec![[0u64; 4]; cfg2.consumers];
-                let mut iter_start_us = 0u64;
-                let mut my_deliveries: Vec<Vec<u64>> = Vec::with_capacity(total_iters as usize);
-                // Telemetry: cumulative counter values at the previous
-                // barrier — each frame carries per-tick deltas, not
-                // running totals. [hits, misses, evictions, retries,
-                // delivered].
-                let mut tele_prev = [0u64; 5];
-                // One batch buffer for the whole run.
-                let mut have: Vec<Cooked> = Vec::with_capacity(cfg2.batch_size);
-                'iters: for iter in 0..total_iters {
-                    // Membership first: the tick's crashes/rejoins take
-                    // effect before any of this iteration's arrivals are
-                    // consumed, mirroring the simulators' tick-boundary
-                    // ordering.
-                    if consumer == 0 {
-                        if let Some(plan) = crash_plan.as_ref() {
-                            for e in plan.membership_events_at(iter) {
-                                let crashed = e.transition == MembershipTransition::Crashed;
-                                let ts = ins.now_us();
-                                ins.trace(|| {
-                                    TraceEvent::instant(
-                                        if crashed { "node_crash" } else { "node_rejoin" },
-                                        "membership",
-                                        ts,
-                                    )
-                                    .arg_u("iter", iter)
-                                    .arg_u("node", e.node as u64)
-                                });
-                                ins.flight(|| FlightEvent::MembershipChange {
-                                    tick: iter,
-                                    node: e.node,
-                                    crashed,
-                                });
-                                membership_log.lock().push(e);
-                            }
-                            member_store.set_down_mask(plan.down_mask_at(iter));
-                        }
-                    }
-                    if let Some(early) = stash.remove(&iter) {
-                        have.extend(early);
-                    }
-                    while have.len() < cfg2.batch_size {
-                        match rx.recv() {
-                            Ok(c) if c.iter == iter => have.push(c),
-                            Ok(c) => {
-                                stash.entry(c.iter).or_default().push(c);
-                            }
-                            Err(_) => {
-                                // The upstream pipeline died. Abort the run:
-                                // wake the other consumers off the barrier,
-                                // cancel in-flight simulated transfers, and
-                                // drain instead of deadlocking.
-                                aborted.store(true, Ordering::Relaxed);
-                                done.store(true, Ordering::Relaxed);
-                                cancel.store(true, Ordering::Relaxed);
-                                barrier.abort();
-                                break 'iters;
-                            }
-                        }
-                    }
-                    // End-to-end integrity: un-mix each delivered buffer in
-                    // place and fingerprint it.
-                    let mut acc = 0u64;
-                    for c in &mut have {
-                        invert_in_place(
-                            &mut c.bytes,
-                            cfg2.work_factor_at(iter)
-                                .saturating_mul(sample_costs[c.sample.index()]),
-                        );
-                        acc ^= sample_checksum(&c.bytes);
-                    }
-                    let mut ids: Vec<u64> = have.iter().map(|c| c.sample.0 as u64).collect();
-                    ids.sort_unstable();
-                    my_deliveries.push(ids);
-                    integrity.fetch_xor(acc, Ordering::Relaxed);
-                    delivered.fetch_add(have.len() as u64, Ordering::Relaxed);
-                    delivered_m.add(have.len() as u64);
-                    consumed[consumer].fetch_add(have.len() as u64, Ordering::Relaxed);
-                    have.clear();
-                    // "Training".
-                    std::thread::sleep(cfg2.train);
-                    // Gradient-allreduce stand-in.
-                    let wait_ts = ins.now_us();
-                    if ins.is_enabled() {
-                        // Published before the barrier, so every arrival is
-                        // visible to consumer 0's post-barrier snapshot.
-                        stage_accum.arrival_us[consumer].store(wait_ts, Ordering::Relaxed);
-                    }
-                    if barrier.wait().is_err() {
-                        // Another consumer aborted the run.
-                        break 'iters;
-                    }
-                    barrier_m.inc();
-                    ins.trace(|| {
-                        TraceEvent::span("barrier_wait", "sync", wait_ts, ins.now_us() - wait_ts)
-                            .tid(consumer as u32)
-                            .arg_u("iter", iter)
-                    });
-                    if consumer == 0 {
-                        let iter_wall = t0.elapsed();
-                        iter_times.lock().push(iter_wall.as_secs_f64());
-                        t0 = Instant::now();
-                        if ins.is_enabled() {
-                            let end_us = ins.now_us();
-                            let train_s = cfg2.train.as_secs_f64();
-                            let samples: Vec<lobster_metrics::GpuIterSample> = (0..cfg2.consumers)
-                                .map(|c| {
-                                    use lobster_metrics::analysis::BlameCategory as B;
-                                    let cur = [
-                                        stage_accum.fetch_local_ns[c].load(Ordering::Relaxed),
-                                        stage_accum.fetch_store_ns[c].load(Ordering::Relaxed),
-                                        stage_accum.preproc_ns[c].load(Ordering::Relaxed),
-                                        stage_accum.queue_wait_ns[c].load(Ordering::Relaxed),
-                                    ];
-                                    let mut stages = lobster_metrics::StageSample::default();
-                                    for (cat, (now, before)) in
-                                        [B::LocalFetch, B::PfsFetch, B::Preprocess, B::QueueWait]
-                                            .into_iter()
-                                            .zip(cur.into_iter().zip(prev_stage[c]))
-                                    {
-                                        stages.add(cat, now.saturating_sub(before) as f64 / 1e9);
-                                    }
-                                    prev_stage[c] = cur;
-                                    let arrival = stage_accum.arrival_us[c].load(Ordering::Relaxed);
-                                    stages.add(B::Train, train_s);
-                                    stages.add(
-                                        B::Barrier,
-                                        end_us.saturating_sub(arrival) as f64 / 1e6,
-                                    );
-                                    lobster_metrics::GpuIterSample {
-                                        node: 0,
-                                        gpu: c as u32,
-                                        iter_s: arrival.saturating_sub(iter_start_us) as f64 / 1e6,
-                                        stages,
-                                    }
-                                })
-                                .collect();
-                            iter_start_us = end_us;
-                            for s in &samples {
-                                let (node, gpu, stages) = (s.node, s.gpu, s.stages);
-                                let iter_us = (s.iter_s * 1e6) as u64;
-                                ins.flight(|| FlightEvent::Stage {
-                                    iter,
-                                    node,
-                                    gpu,
-                                    iter_us,
-                                    stages,
-                                });
-                            }
-                            if let Some(out) = ins.observe_iteration(iter, end_us, || samples) {
-                                ins.flight(|| FlightEvent::Iteration {
-                                    iter,
-                                    gap_us: (out.gap_s * 1e6) as u64,
-                                    ewma_gap_us: (out.ewma_gap_s * 1e6) as u64,
-                                });
-                                // Telemetry frame for this tick: cache /
-                                // retry / delivery counters as deltas since
-                                // the previous barrier, the measured gap and
-                                // wall time quantized to µs, and the live
-                                // membership mask.
-                                let cum = [
-                                    cache.hit_count(),
-                                    cache.miss_count(),
-                                    evictions_m.value(),
-                                    rstore.stats().retries,
-                                    delivered.load(Ordering::Relaxed),
-                                ];
-                                let mut d = [0u64; 5];
-                                for (i, c) in cum.into_iter().enumerate() {
-                                    d[i] = c.saturating_sub(tele_prev[i]);
-                                    tele_prev[i] = c;
-                                }
-                                let (lw, pw) = board.counts();
-                                ins.record_tick(lobster_metrics::TickScalars {
-                                    tick: iter,
-                                    gap_us: (out.gap_s * 1e6) as u64,
-                                    iter_us: iter_wall.as_micros() as u64,
-                                    local_hits: d[0],
-                                    remote_hits: 0,
-                                    misses: d[1],
-                                    prefetched: 0,
-                                    evictions: d[2],
-                                    retries: d[3],
-                                    delivered: d[4],
-                                    preproc_workers: pw as u32,
-                                    loader_workers: lw as u32,
-                                    down_mask: crash_plan
-                                        .as_ref()
-                                        .map_or(0, |p| p.down_mask_at(iter)),
-                                });
-                            }
-                        }
-                        // Elastic tick for the next iteration: decide the
-                        // preproc↔loader split from the deterministic model
-                        // inputs, publish it on the role board, and log the
-                        // decision. Measured stage times flow into the
-                        // decision *record* only — never into the decision
-                        // itself — so the flip sequence is reproducible by
-                        // the simulators.
-                        if let Some(ctl) = ctl.as_mut() {
-                            let next = iter + 1;
-                            if next < total_iters {
-                                let obs = ElasticObservation::for_iteration(
-                                    next,
-                                    mean_sample_bytes,
-                                    cfg2.work_factor_at(next),
-                                    batch_samples,
-                                    cfg2.train.as_secs_f64(),
-                                );
-                                let d = ctl.tick(&obs);
-                                let pool2 = cfg2.loader_threads + cfg2.preproc_threads;
-                                preproc_g.set(d.preproc_after as i64);
-                                loader_g.set(pool2 as i64 - d.preproc_after as i64);
-                                if !d.flipped.is_empty() && ins.is_enabled() {
-                                    decisions_m.inc();
-                                    let ts = ins.now_us();
-                                    ins.trace(|| {
-                                        TraceEvent::instant("role_flip", "controller", ts)
-                                            .arg_u("iter", next)
-                                            .arg_u("preproc_workers", d.preproc_after as u64)
-                                            .arg_u("flips", d.flipped.len() as u64)
-                                    });
-                                    ins.flight(|| FlightEvent::RoleFlip {
-                                        tick: next,
-                                        loaders: pool2 as u32 - d.preproc_after,
-                                        preprocs: d.preproc_after,
-                                        flips: d.flipped.len() as u32,
-                                    });
-                                    ins.record_decision(DecisionRecord {
-                                        ts_us: ts,
-                                        source: DecisionSource::ElasticPool,
-                                        node: 0,
-                                        queue_loads: (0..cfg2.consumers)
-                                            .map(|c| {
-                                                stage_accum.preproc_ns[c].load(Ordering::Relaxed)
-                                                    as f64
-                                                    / 1e9
-                                            })
-                                            .collect(),
-                                        predicted_cost: vec![d.predicted_batch_secs],
-                                        threads_before: vec![
-                                            pool2 as u32 - d.preproc_before,
-                                            d.preproc_before,
-                                        ],
-                                        threads_after: vec![
-                                            pool2 as u32 - d.preproc_after,
-                                            d.preproc_after,
-                                        ],
-                                        gap_s: Some(
-                                            cfg2.train.as_secs_f64() - d.predicted_batch_secs,
-                                        ),
-                                        evals: d.evals,
-                                        converged: d.converged,
-                                        anomalies_before: 0,
-                                    });
-                                }
-                                let d = d.clone();
-                                apply_elastic_decision(ctl, &d, &board, &assignment);
-                                role_flip_log.lock().push(d);
-                            }
-                        }
-                    }
-                }
-                delivered_log.lock()[consumer] = my_deliveries;
-                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    done.store(true, Ordering::Relaxed);
-                }
-            });
+            let transform = Transform {
+                raw_rx: raw_rx.clone(),
+                cooked_tx: cooked_tx.clone(),
+            };
+            s.spawn(move || pool_worker(sh, w, fetch, transform));
         }
-        drop(cooked_rx);
-        drop(req_rx);
-    })
-    .expect("engine threads must not panic");
+        // Threads hold the only channel ends now: each disconnects with its last user.
+        drop((req_rx, raw_tx, raw_rx, cooked_tx));
+        let handles: Vec<_> = cooked_rx
+            .into_iter()
+            .enumerate()
+            .map(|(consumer, rx)| {
+                let deliver = Deliver {
+                    consumer,
+                    rx,
+                    stash: HashMap::new(),
+                    have: Vec::with_capacity(batch),
+                    log: Vec::with_capacity(sh.total_iters as usize),
+                };
+                let ticker = ticker.take();
+                s.spawn(move || deliver.run(sh, ticker))
+            })
+            .collect();
+        (handles.into_iter())
+            .map(|h| h.join().expect("engine threads must not panic"))
+            .unzip()
+    });
+    let ticker = tickers
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("consumer 0 ticks");
 
     // Flight-dump at teardown: an aborted run or one scarred by contained
     // worker panics leaves its last-K event window on disk (when a flight
     // dir is configured) so the doctor can diagnose without a full trace.
-    if aborted.load(Ordering::Relaxed) {
-        let _ = ins.flight_dump_to_disk("abort");
-    } else if worker_panics.load(Ordering::Relaxed) > 0 {
-        let _ = ins.flight_dump_to_disk("worker_panic");
+    let aborted = sh.aborted.load(Ordering::Relaxed);
+    let worker_panics = sh.worker_panics.load(Ordering::Relaxed);
+    if aborted {
+        let _ = sh.ins.flight_dump_to_disk("abort");
+    } else if worker_panics > 0 {
+        let _ = sh.ins.flight_dump_to_disk("worker_panic");
     }
-
-    let stats = rstore.stats();
-    let anomalies = ins.telemetry_anomalies();
-    let slo_verdicts = ins.evaluate_slos(&cfg.slo);
-    ins.flush_telemetry();
-    let iteration_secs = iter_times.lock().clone();
-    let delivered_samples = delivered_log.lock().clone();
-    let role_flips = role_flip_log.lock().clone();
-    let membership = membership_log.lock().clone();
+    let stats = sh.rstore.stats();
+    let anomalies = sh.ins.telemetry_anomalies();
+    let slo_verdicts = sh.ins.evaluate_slos(&sh.cfg.slo);
+    sh.ins.flush_telemetry();
     EngineReport {
-        iterations: total_iters,
-        iteration_secs,
-        hit_ratio: cache.hit_ratio(),
-        store_fetches: store.fetch_count(),
-        delivered: delivered.load(Ordering::Relaxed),
-        integrity: integrity.load(Ordering::Relaxed),
+        iterations: ticker.iteration_secs.len() as u64,
+        iteration_secs: ticker.iteration_secs,
+        hit_ratio: sh.cache.hit_ratio(),
+        store_fetches: sh.store.fetch_count(),
+        delivered: sh.delivered.load(Ordering::Relaxed),
+        integrity: sh.integrity.load(Ordering::Relaxed),
         retries: stats.retries,
         corruptions_detected: stats.corruptions_detected,
         deadline_exceeded: stats.deadline_exceeded,
-        worker_panics: worker_panics.load(Ordering::Relaxed),
-        aborted: aborted.load(Ordering::Relaxed),
-        delivered_samples,
-        role_flips,
-        membership,
+        worker_panics,
+        aborted,
+        delivered_samples: logs,
+        role_flips: ticker.role_flips,
+        membership: ticker.membership,
         anomalies,
         slo_verdicts,
     }
@@ -1130,39 +1114,70 @@ mod tests {
     use lobster_data::{Dataset, SizeDistribution};
     use lobster_storage::faults::FaultSpec;
 
-    fn small_store(samples: usize, latency_us: u64) -> Arc<SyntheticStore> {
+    fn small_store(samples: usize) -> Arc<SyntheticStore> {
         let ds = Dataset::generate(
             "engine-test",
             samples,
             SizeDistribution::Constant { bytes: 2_000 },
             9,
         );
-        Arc::new(SyntheticStore::new(
-            ds,
-            Duration::from_micros(latency_us),
-            0.0,
-        ))
+        Arc::new(SyntheticStore::new(ds, Duration::ZERO, 0.0))
     }
 
     fn fast_cfg() -> EngineConfig {
         EngineConfig {
-            consumers: 2,
             batch_size: 4,
-            loader_threads: 2,
-            preproc_threads: 2,
             cache_bytes: 16 << 20,
-            work_factor: 1,
             train: Duration::from_micros(200),
-            epochs: 2,
             seed: 7,
-            retry: RetryPolicy::default(),
             ..EngineConfig::default()
         }
     }
 
+    /// A 64-sample store that injects the faults of `spec`.
+    fn faulty_store(spec: FaultSpec) -> Arc<SyntheticStore> {
+        let ds = Dataset::generate(
+            "engine-faults",
+            64,
+            SizeDistribution::Constant { bytes: 2_000 },
+            9,
+        );
+        let plan = spec.compile().unwrap();
+        Arc::new(SyntheticStore::with_faults(ds, Duration::ZERO, 0.0, plan))
+    }
+
+    #[test]
+    fn publish_roles_expands_queue_counts_over_loaders_in_worker_order() {
+        use Role::{Loader as L, Preproc as P};
+        let board = RoleBoard::new(2, 3);
+        let assignment: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(9)).collect();
+        publish_roles(&[L, P, L, L, P], &[2, 0, 1], &board, &assignment);
+        let primary = |w: usize| assignment[w].load(Ordering::Relaxed);
+        assert_eq!([primary(0), primary(2), primary(3)], [0, 0, 2]);
+        let roles: Vec<u8> = (0..5).map(|w| board.role(w)).collect();
+        assert_eq!(
+            roles,
+            [
+                ROLE_LOADER,
+                ROLE_PREPROC,
+                ROLE_LOADER,
+                ROLE_LOADER,
+                ROLE_PREPROC
+            ]
+        );
+        assert_eq!(
+            [primary(1), primary(4)],
+            [9, 9],
+            "preproc slots keep their queue"
+        );
+        // Loaders beyond the counts' sum (1 + 0 + 1) fall back to `w % 3`.
+        publish_roles(&[L, L, L, L], &[1, 0, 1], &board, &assignment);
+        assert_eq!((0..4).map(primary).collect::<Vec<_>>(), [0, 2, 2, 0]);
+    }
+
     #[test]
     fn engine_delivers_every_sample_with_integrity() {
-        let store = small_store(64, 0);
+        let store = small_store(64);
         let cfg = fast_cfg();
         let expected = expected_integrity(store.dataset(), &cfg);
         let report = run(Arc::clone(&store), cfg);
@@ -1181,7 +1196,7 @@ mod tests {
 
     #[test]
     fn warm_cache_eliminates_store_refetches() {
-        let store = small_store(32, 0);
+        let store = small_store(32);
         let mut cfg = fast_cfg();
         cfg.epochs = 3;
         // Cache far larger than the dataset: epoch 2+ must be all hits.
@@ -1192,10 +1207,9 @@ mod tests {
 
     #[test]
     fn single_consumer_single_worker_degenerate_case() {
-        let store = small_store(16, 0);
+        let store = small_store(16);
         let cfg = EngineConfig {
             consumers: 1,
-            batch_size: 4,
             loader_threads: 1,
             preproc_threads: 1,
             epochs: 1,
@@ -1221,7 +1235,7 @@ mod tests {
 
     #[test]
     fn elastic_pool_delivers_every_sample_with_integrity() {
-        let store = small_store(64, 0);
+        let store = small_store(64);
         let cfg = EngineConfig {
             elastic: true,
             ..fast_cfg()
@@ -1245,7 +1259,7 @@ mod tests {
         // The §5 workload shift, live: preprocessing becomes 64× heavier
         // mid-run. The controller must steal loaders for preprocessing
         // without corrupting a single delivered sample.
-        let store = small_store(64, 0);
+        let store = small_store(64);
         let cfg = EngineConfig {
             elastic: true,
             work_factor_step: Some((8, 64)),
@@ -1272,7 +1286,7 @@ mod tests {
 
     #[test]
     fn elastic_churn_flips_roles_every_tick() {
-        let store = small_store(64, 0);
+        let store = small_store(64);
         let cfg = EngineConfig {
             elastic: true,
             elastic_churn: true,
@@ -1300,15 +1314,15 @@ mod tests {
     fn run_is_data_deterministic() {
         // Timings vary; delivered data must not.
         let cfg = fast_cfg();
-        let r1 = run(small_store(48, 0), cfg.clone());
-        let r2 = run(small_store(48, 0), cfg);
+        let r1 = run(small_store(48), cfg.clone());
+        let r2 = run(small_store(48), cfg);
         assert_eq!(r1.integrity, r2.integrity);
         assert_eq!(r1.delivered, r2.delivered);
     }
 
     #[test]
     fn instrumented_run_feeds_the_analyzer() {
-        let store = small_store(64, 0);
+        let store = small_store(64);
         let ins = Instruments::enabled();
         let report = run_with(store, fast_cfg(), ins.clone());
         assert!(!report.aborted);
@@ -1326,21 +1340,12 @@ mod tests {
 
     #[test]
     fn engine_heals_through_transients_and_corruption() {
-        let plan = FaultSpec {
+        let store = faulty_store(FaultSpec {
             transient_rate: 0.10,
             corrupt_rate: 0.05,
             seed: 77,
             ..FaultSpec::default()
-        }
-        .compile()
-        .unwrap();
-        let ds = Dataset::generate(
-            "engine-faults",
-            64,
-            SizeDistribution::Constant { bytes: 2_000 },
-            9,
-        );
-        let store = Arc::new(SyntheticStore::with_faults(ds, Duration::ZERO, 0.0, plan));
+        });
         let cfg = fast_cfg();
         let expected = expected_integrity(store.dataset(), &cfg);
         let report = run(Arc::clone(&store), cfg);
@@ -1355,20 +1360,11 @@ mod tests {
 
     #[test]
     fn engine_contains_poisoned_workers() {
-        let plan = FaultSpec {
+        let store = faulty_store(FaultSpec {
             poison_rate: 0.05,
             seed: 1234,
             ..FaultSpec::default()
-        }
-        .compile()
-        .unwrap();
-        let ds = Dataset::generate(
-            "engine-poison",
-            64,
-            SizeDistribution::Constant { bytes: 2_000 },
-            9,
-        );
-        let store = Arc::new(SyntheticStore::with_faults(ds, Duration::ZERO, 0.0, plan));
+        });
         let cfg = fast_cfg();
         let expected = expected_integrity(store.dataset(), &cfg);
         let report = run(Arc::clone(&store), cfg);

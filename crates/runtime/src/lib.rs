@@ -14,9 +14,11 @@
 //!   so end-to-end integrity is checkable.
 //! * [`engine`] — multi-queue request queues (§4.2), one worker pool
 //!   whose workers load or preprocess as a shared role board says, and
-//!   consumer ("GPU") threads with a barrier. The board keeps the
-//!   configured split unless [`EngineConfig::elastic`] lets the elastic
-//!   controller flip preproc↔loader roles at iteration boundaries (§4.1).
+//!   consumer ("GPU") threads with a barrier, written as named stages
+//!   (feeder, fetch, transform, deliver) on scoped threads that borrow
+//!   one shared context. The board keeps the configured split unless
+//!   [`EngineConfig::elastic`] lets the elastic controller flip
+//!   preproc↔loader roles at iteration boundaries (§4.1).
 //! * [`resilient`] — the self-healing fetch path: retries with
 //!   backoff + jitter, per-fetch deadlines, refetch of any payload that
 //!   fails its memoised canonical checksum.

@@ -17,23 +17,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Run `f` under a watchdog thread: a deadlock becomes a clean panic
-/// after `limit` instead of a test that never returns. The limit only
-/// bounds hangs — it is far above any plausible healthy runtime, so a
-/// loaded CI box cannot trip it.
-fn with_watchdog<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(v) => {
-            let _ = worker.join();
-            v
-        }
-        Err(_) => panic!("watchdog: engine run did not complete within {limit:?} (deadlock?)"),
-    }
-}
+#[path = "common/watchdog.rs"]
+mod watchdog;
+use watchdog::with_watchdog;
 
 /// 64-worker pool: 8 consumers × batch 4, 48 loaders + 16 preprocessing
 /// workers, with a mid-run 8× preprocessing step so the controller has a

@@ -5,27 +5,13 @@ use lobster_repro::data::{Dataset, SizeDistribution};
 use lobster_repro::metrics::{DecisionSource, Instruments};
 use lobster_repro::runtime::{expected_integrity, run, run_with, EngineConfig, SyntheticStore};
 use lobster_repro::storage::RetryPolicy;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Run `f` under a watchdog thread: a deadlock becomes a clean panic after
-/// `limit` instead of a test that never returns, and no assertion depends
-/// on how fast the machine happens to be. The limit only bounds hangs — it
-/// is far above any plausible healthy runtime, so a loaded CI box cannot
-/// trip it.
-fn with_watchdog<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(v) => {
-            let _ = worker.join();
-            v
-        }
-        Err(_) => panic!("watchdog: engine run did not complete within {limit:?} (deadlock?)"),
-    }
-}
+#[path = "common/watchdog.rs"]
+mod watchdog;
+use watchdog::with_watchdog;
 
 fn store(samples: usize, latency: Duration) -> Arc<SyntheticStore> {
     let ds = Dataset::generate(
@@ -103,6 +89,38 @@ fn tiny_cache_still_delivers_correct_bytes() {
         report.store_fetches > 96,
         "fetches {}",
         report.store_fetches
+    );
+}
+
+#[test]
+fn cancelled_store_aborts_and_drains() {
+    // A store cancelled mid-run (from another thread) fails the in-flight
+    // fetch. That must abort the run and drain every stage: the pool leaves,
+    // the feeder's blocked send fails, and the consumers take the abort
+    // branch. The watchdog turns a hang into a clean failure.
+    let cfg = EngineConfig {
+        consumers: 2,
+        batch_size: 4,
+        loader_threads: 2,
+        preproc_threads: 2,
+        cache_bytes: 64 << 10,
+        epochs: 50,
+        ..EngineConfig::default()
+    };
+    let s = store(64, Duration::from_millis(2));
+    let scheduled = (64 / (2 * 4)) * 50;
+    let cancel = s.cancel_handle();
+    let raiser = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(100));
+        cancel.store(true, Ordering::Relaxed);
+    });
+    let report = with_watchdog(Duration::from_secs(10), move || run(s, cfg));
+    raiser.join().unwrap();
+    assert!(report.aborted, "a cancelled store must abort the run");
+    assert_eq!(report.iterations, report.iteration_secs.len() as u64);
+    assert!(
+        report.iterations < scheduled,
+        "an aborted run executes fewer than the {scheduled} scheduled iterations"
     );
 }
 
