@@ -15,8 +15,9 @@
 //!    baseline absorbs a *permanent* one.
 //! 6. **Live-engine self-healing** — the real multi-threaded engine under
 //!    an injected fault schedule (`--faults` overrides the default mix):
-//!    transient errors, corruption, stalls, and a mid-run slowdown, with
-//!    delivered-data integrity verified against the fault-free fingerprint.
+//!    transient errors, corruption, stalls, and a mid-run slowdown (plus any
+//!    `crash@` terms), with delivered-data integrity verified against the
+//!    fault-free fingerprint.
 
 use lobster_bench::{
     faults_from_args, paper_config, params_from_args, run_policy, BenchParams, DatasetKind,
@@ -315,6 +316,15 @@ fn main() {
         epochs: 2,
         seed: params.seed,
         train: Duration::from_micros(500),
+        // `crash@<tick>:node=<n>[,rejoin=<tick>]` terms in the --faults
+        // spec become tick-scoped peer-down windows inside the engine.
+        crashes: spec.crashes.clone(),
+        peer_nodes: spec
+            .crashes
+            .iter()
+            .map(|c| (c.node as usize + 1).max(2))
+            .max()
+            .unwrap_or(0),
         ..EngineConfig::default()
     };
     let expected = expected_integrity(&dataset, &cfg);

@@ -5,7 +5,6 @@
 //! lobster_top <telemetry.jsonl>                      # follow the stream
 //! lobster_top <telemetry.jsonl> --once               # render once, exit
 //! lobster_top <telemetry.jsonl> --once --slo "gap_us<=5000;hit_rate>=0.8"
-//! lobster_top <telemetry.jsonl> --once --assert-anomaly level-shift,11,13
 //! ```
 //!
 //! The stream is the line format `Instruments::set_telemetry_out` (and
@@ -15,64 +14,30 @@
 //! stops growing for `--idle-exits` rounds (default: follow forever;
 //! Ctrl-C to quit).
 //!
-//! Flags for scripting and CI:
+//! Flags for scripting:
 //!
 //! - `--once` renders the current state and exits instead of following.
 //! - `--slo <specs>` evaluates the §14 spec grammar over the streamed
 //!   frames (`;`-separated, e.g. `gap_us<=5000@64:10`) and merges the
 //!   verdicts with any `slo` lines already in the stream.
-//! - `--assert-anomaly <kind>,<lo>,<hi>` exits 1 unless an anomaly of
-//!   `kind` (detector label, e.g. `level-shift`) fired with
-//!   `lo <= tick <= hi` — the CI hook for "the seeded fault was detected
-//!   at the right tick".
 //! - `--window <n>` bounds the per-tick table to the last `n` frames
 //!   (default 16).
 //!
-//! Exit codes: `0` — rendered, every SLO passed, assertion (if any)
-//! held; `1` — a violated SLO or a failed `--assert-anomaly`; `2` —
-//! usage or I/O errors.
+//! Exit codes: `0` — rendered and every SLO passed; `1` — a violated
+//! SLO; `2` — usage or I/O errors.
 
 use lobster_metrics::{
-    evaluate_slos, parse_slo_specs, parse_telemetry_stream, Anomaly, DetectorKind, SloSpec,
-    SloVerdict, TelemetryLine, TickFrame,
+    evaluate_slos, parse_slo_specs, parse_telemetry_stream, Anomaly, SloSpec, SloVerdict,
+    TelemetryLine, TickFrame,
 };
 use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
         "usage: lobster_top <telemetry.jsonl> [--once] [--interval-ms <n>] [--idle-exits <n>]\n\
-         \x20                  [--window <n>] [--slo <specs>] [--assert-anomaly <kind>,<lo>,<hi>]"
+         \x20                  [--window <n>] [--slo <specs>]"
     );
     std::process::exit(2);
-}
-
-struct AnomalyAssert {
-    kind: DetectorKind,
-    lo: u64,
-    hi: u64,
-}
-
-fn parse_assert(text: &str) -> AnomalyAssert {
-    let parts: Vec<&str> = text.split(',').map(str::trim).collect();
-    let bad = || -> ! {
-        eprintln!("error: --assert-anomaly wants <kind>,<lo-tick>,<hi-tick>, got {text:?}");
-        std::process::exit(2);
-    };
-    if parts.len() != 3 {
-        bad();
-    }
-    let Some(kind) = DetectorKind::by_label(parts[0]) else {
-        eprintln!(
-            "error: unknown detector kind {:?} (one of: {})",
-            parts[0],
-            DetectorKind::ALL.map(|k| k.label()).join(", ")
-        );
-        std::process::exit(2);
-    };
-    let (Ok(lo), Ok(hi)) = (parts[1].parse::<u64>(), parts[2].parse::<u64>()) else {
-        bad();
-    };
-    AnomalyAssert { kind, lo, hi }
 }
 
 /// Everything accumulated from the stream so far.
@@ -205,7 +170,6 @@ fn main() {
     let mut idle_exits: Option<u32> = None;
     let mut window = 16usize;
     let mut specs: Vec<SloSpec> = Vec::new();
-    let mut assertion: Option<AnomalyAssert> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -213,7 +177,7 @@ fn main() {
                 once = true;
                 i += 1;
             }
-            "--interval-ms" | "--idle-exits" | "--window" | "--slo" | "--assert-anomaly" => {
+            "--interval-ms" | "--idle-exits" | "--window" | "--slo" => {
                 if i + 1 >= args.len() {
                     usage();
                 }
@@ -226,13 +190,12 @@ fn main() {
                         idle_exits = Some(value.parse().unwrap_or_else(|_| usage()));
                     }
                     "--window" => window = value.parse().unwrap_or_else(|_| usage()),
-                    "--slo" => {
+                    _ => {
                         specs = parse_slo_specs(value).unwrap_or_else(|e| {
                             eprintln!("error: bad --slo spec: {e}");
                             std::process::exit(2);
                         });
                     }
-                    _ => assertion = Some(parse_assert(value)),
                 }
                 i += 2;
             }
@@ -278,35 +241,53 @@ fn main() {
     let verdicts = evaluate_slos(&specs, &state.frames);
     print!("{}", render(&state, window, &verdicts));
 
-    let mut failed = false;
     if state.slo.iter().chain(&verdicts).any(|v| !v.pass) {
         eprintln!("lobster_top: violated SLO");
-        failed = true;
+        std::process::exit(1);
     }
-    if let Some(a) = &assertion {
-        let hit = state
-            .anomalies
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lobster_metrics::{DetectorKind, TickScalars};
+
+    /// A stream holding a firing anomaly renders the firing count in the
+    /// header and the anomaly's row, and an SLO over its frames is judged.
+    #[test]
+    fn renders_a_stream_with_a_firing_anomaly() {
+        let frame = |tick, iter_us| {
+            TelemetryLine::Frame(TickFrame::from_scalars(TickScalars {
+                tick,
+                iter_us,
+                delivered: 64,
+                ..TickScalars::default()
+            }))
+        };
+        let cliff = TelemetryLine::Anomaly(Anomaly {
+            kind: DetectorKind::ThroughputCliff,
+            tick: 1,
+            onset_tick: 1,
+            value: 30_000,
+            baseline: 10_000,
+            severity: 768,
+        });
+        let text: Vec<String> = [frame(0, 10_000), frame(1, 30_000), cliff]
             .iter()
-            .find(|x| x.kind == a.kind && (a.lo..=a.hi).contains(&x.tick));
-        match hit {
-            Some(x) => println!(
-                "assert-anomaly: {} fired at tick {} (wanted {}..={})",
-                a.kind.label(),
-                x.tick,
-                a.lo,
-                a.hi
-            ),
-            None => {
-                eprintln!(
-                    "lobster_top: no {} anomaly in ticks {}..={} ({} firing(s) total)",
-                    a.kind.label(),
-                    a.lo,
-                    a.hi,
-                    state.anomalies.len()
-                );
-                failed = true;
-            }
-        }
+            .map(TelemetryLine::to_json)
+            .collect();
+        let mut state = State::default();
+        state.ingest(parse_telemetry_stream(&text.join("\n")).unwrap());
+
+        let specs = parse_slo_specs("iter_us<=15000").unwrap();
+        let verdicts = evaluate_slos(&specs, &state.frames);
+        let out = render(&state, 16, &verdicts);
+        assert!(out.contains("2 tick(s), 1 anomaly firing(s)"), "{out}");
+        assert!(out.contains("== anomalies (last 8) =="), "{out}");
+        assert!(out.contains("throughput-cliff"), "{out}");
+        assert!(
+            out.contains("iter_us<=15000") && out.contains("FAIL"),
+            "{out}"
+        );
     }
-    std::process::exit(if failed { 1 } else { 0 });
 }

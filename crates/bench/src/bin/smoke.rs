@@ -4,7 +4,7 @@
 //!
 //! With `--trace-out <path>` the runs are instrumented: the Chrome trace
 //! plus the `<path>.metrics.json` / `<path>.decisions.jsonl` sidecars are
-//! written for `lobster_doctor` (CI diagnoses every smoke run this way).
+//! written for `lobster_doctor`.
 
 use lobster_bench::{
     compare_policies_with, observability_from_args, paper_config, params_from_args,

@@ -1,15 +1,14 @@
 //! Differential conformance harness: proves the executors agree.
 //!
-//! The workspace has three independent execution models of the same paper:
-//! the timing-only DES (`lobster_pipeline::des`), the analytical cluster
-//! executor (`lobster_pipeline::ClusterSim`), and the live threaded engine
-//! (`lobster_runtime::engine`). Each exists because the others can't do its
-//! job — and each is a chance for the reproduction to silently drift from
-//! the paper's semantics. This crate makes the redundancy load-bearing
-//! (NoPFS validated its simulator the same way; FoundationDB made the
-//! pattern famous):
+//! The workspace has two execution models of the same paper: the
+//! analytical cluster executor (`lobster_pipeline::ClusterSim`) and the
+//! live threaded engine (`lobster_runtime::engine`). Each exists because
+//! the other can't do its job — and each is a chance for the reproduction
+//! to silently drift from the paper's semantics. This crate makes the
+//! redundancy load-bearing (NoPFS validated its simulator the same way;
+//! FoundationDB made the pattern famous):
 //!
-//! * [`des::DesCluster`] — a fourth, event-driven implementation of the
+//! * [`des::DesCluster`] — a third, event-driven implementation of the
 //!   full cluster semantics on the `lobster-sim` kernel, re-deriving the
 //!   §4.4 rules from the paper rather than sharing `lobster-core`'s code.
 //! * [`compare`] — field-by-field comparison of [`RunObservables`] records

@@ -67,22 +67,6 @@ impl Mutation {
         }
     }
 
-    /// Parse a CLI name.
-    pub fn by_name(name: &str) -> Option<Mutation> {
-        Some(match name {
-            "none" => Mutation::None,
-            "skip-last-copy-guard" => Mutation::SkipLastCopyGuard,
-            "horizon-off-by-one" => Mutation::HorizonOffByOne,
-            "invert-prefetch-guard" => Mutation::InvertPrefetchGuard,
-            "capacity-key-lru" => Mutation::CapacityKeyLru,
-            "never-steal" => Mutation::NeverSteal,
-            "drop-crash" => Mutation::DropCrash,
-            "detector-threshold" => Mutation::DetectorThreshold,
-            "uniform-cost" => Mutation::UniformCost,
-            _ => return None,
-        })
-    }
-
     /// Every real mutation (excluding `None`).
     pub fn all() -> [Mutation; 8] {
         [
@@ -95,19 +79,5 @@ impl Mutation {
             Mutation::DetectorThreshold,
             Mutation::UniformCost,
         ]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for m in Mutation::all() {
-            assert_eq!(Mutation::by_name(m.name()), Some(m));
-        }
-        assert_eq!(Mutation::by_name("none"), Some(Mutation::None));
-        assert_eq!(Mutation::by_name("bogus"), None);
     }
 }

@@ -185,8 +185,9 @@ pub fn workload_conformance_config(w: &WorkloadSpec, seed: u64) -> ExperimentCon
 }
 
 /// The five workload families' conformance configurations at `seed`, with
-/// their CLI tokens — the matrix `conformance_smoke` and `workload_smoke`
-/// sweep.
+/// their CLI tokens — the matrix
+/// `tests/workloads.rs::every_family_agrees_across_the_differential_harness`
+/// sweeps over five seeds.
 pub fn workload_conformance_matrix(seed: u64) -> Vec<(&'static str, ExperimentConfig)> {
     WorkloadSpec::all_families(192)
         .iter()

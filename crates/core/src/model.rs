@@ -96,16 +96,6 @@ impl TierBreakdown {
         self.remote_count += other.remote_count;
         self.pfs_count += other.pfs_count;
     }
-
-    /// Local-cache hit fraction of this batch (by sample count).
-    pub fn local_hit_fraction(&self) -> f64 {
-        let t = self.total_count();
-        if t == 0 {
-            0.0
-        } else {
-            self.local_count as f64 / t as f64
-        }
-    }
 }
 
 /// Per-GPU data-loading thread allocation: `α`, `β`, `γ` of Eq. 1. Lobster's

@@ -211,7 +211,7 @@ impl WorkloadSpec {
         Some(WorkloadSpec { family, samples })
     }
 
-    /// All five families with their default parameters — the smoke matrix.
+    /// All five families with their default parameters — the test matrix.
     pub fn all_families(samples: usize) -> Vec<WorkloadSpec> {
         ["zipf", "heavy-tail", "bimodal", "growing", "drift"]
             .iter()

@@ -25,9 +25,8 @@ use crate::analysis::{
     AnalysisConfig, AnalysisReport, BottleneckAnalyzer, GpuIterSample, IterationAnalysis,
 };
 use crate::decisions::{DecisionLog, DecisionRecord};
-use crate::histogram::LogHistogram;
 use crate::recorder::{
-    FlightDump, FlightEvent, FlightRecord, FlightRecorder, FlightTier, DEFAULT_FLIGHT_CAPACITY,
+    FlightEvent, FlightRecord, FlightRecorder, FlightTier, DEFAULT_FLIGHT_CAPACITY,
 };
 use crate::registry::{Counter, Gauge, MetricRegistry, MetricsSnapshot};
 use crate::telemetry::{
@@ -274,14 +273,6 @@ impl Instruments {
         }
     }
 
-    /// Merge a per-thread latency histogram into the tier aggregate at
-    /// barrier time; no-op when disabled.
-    pub fn flight_merge_tier(&self, tier: FlightTier, h: &LogHistogram) {
-        if let Some(inner) = &self.inner {
-            inner.flight.merge_tier(tier, h);
-        }
-    }
-
     /// The retained flight events in seq order (empty when disabled).
     pub fn flight_snapshot(&self) -> Vec<FlightRecord> {
         self.inner
@@ -301,11 +292,6 @@ impl Instruments {
         if let Some(inner) = &self.inner {
             *inner.flight_dir.lock().unwrap_or_else(|e| e.into_inner()) = Some(dir.into());
         }
-    }
-
-    /// Build the flight dump for `trigger`; `None` when disabled.
-    pub fn flight_dump(&self, trigger: &str) -> Option<FlightDump> {
-        self.inner.as_ref().map(|i| i.flight.dump(trigger))
     }
 
     /// Build and write a `flightdump_<trigger>_<n>.json` under the

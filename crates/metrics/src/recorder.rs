@@ -19,9 +19,7 @@
 //! misreported.
 //!
 //! Tier latencies are too frequent to ring-buffer one event each; they
-//! aggregate into one [`LogHistogram`] per [`FlightTier`], combinable
-//! from per-thread histograms at barrier time via
-//! [`LogHistogram::merge`].
+//! aggregate into one [`LogHistogram`] per [`FlightTier`].
 //!
 //! ## Dump format
 //!
@@ -232,15 +230,6 @@ impl FlightRecorder {
             .record(us);
     }
 
-    /// Combine a per-thread histogram into the tier aggregate — the
-    /// barrier-time merge path ([`LogHistogram::merge`]).
-    pub fn merge_tier(&self, tier: FlightTier, h: &LogHistogram) {
-        self.tiers[tier.index()]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(h);
-    }
-
     /// Copy of one tier's aggregate latency histogram.
     pub fn tier_histogram(&self, tier: FlightTier) -> LogHistogram {
         self.tiers[tier.index()]
@@ -442,18 +431,13 @@ mod tests {
     }
 
     #[test]
-    fn tier_histograms_aggregate_and_merge() {
+    fn tier_histograms_aggregate() {
         let rec = FlightRecorder::new(4);
         rec.record_fetch_us(FlightTier::Cache, 10);
         rec.record_fetch_us(FlightTier::Cache, 20);
         rec.record_fetch_us(FlightTier::Store, 4000);
 
-        // Barrier-time merge of a per-thread histogram.
-        let mut thread_local = LogHistogram::new();
-        thread_local.record_all([30, 40]);
-        rec.merge_tier(FlightTier::Cache, &thread_local);
-
-        assert_eq!(rec.tier_histogram(FlightTier::Cache).count(), 4);
+        assert_eq!(rec.tier_histogram(FlightTier::Cache).count(), 2);
         assert_eq!(rec.tier_histogram(FlightTier::Store).count(), 1);
         assert_eq!(rec.tier_histogram(FlightTier::Store).max(), Some(4000));
     }

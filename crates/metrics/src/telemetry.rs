@@ -224,14 +224,6 @@ pub enum DetectorKind {
 }
 
 impl DetectorKind {
-    pub const ALL: [DetectorKind; 5] = [
-        DetectorKind::GapSpike,
-        DetectorKind::LevelShift,
-        DetectorKind::ThroughputCliff,
-        DetectorKind::HitRateRegression,
-        DetectorKind::MembershipChange,
-    ];
-
     pub fn label(self) -> &'static str {
         match self {
             DetectorKind::GapSpike => "gap-spike",
@@ -240,13 +232,6 @@ impl DetectorKind {
             DetectorKind::HitRateRegression => "hit-rate-regression",
             DetectorKind::MembershipChange => "membership-change",
         }
-    }
-
-    pub fn by_label(label: &str) -> Option<DetectorKind> {
-        DetectorKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.label() == label)
     }
 }
 
@@ -1607,13 +1592,5 @@ mod tests {
         let v = evaluate_slo(&SloSpec::parse("hit_rate>=0.8").unwrap(), &frames);
         assert_eq!(v.frames, 1, "idle frame skipped");
         assert!(v.pass);
-    }
-
-    #[test]
-    fn detector_kind_labels_round_trip() {
-        for k in DetectorKind::ALL {
-            assert_eq!(DetectorKind::by_label(k.label()), Some(k));
-        }
-        assert_eq!(DetectorKind::by_label("nope"), None);
     }
 }

@@ -31,7 +31,6 @@ const DEFAULT_SHARD_CAP: usize = 64 * 1024;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     U(u64),
-    I(i64),
     F(f64),
     S(&'static str),
 }
@@ -41,7 +40,6 @@ impl ArgValue {
         use serde_json::{Number, Value};
         match self {
             ArgValue::U(u) => Value::Number(Number::U(*u)),
-            ArgValue::I(i) => Value::Number(Number::I(*i)),
             ArgValue::F(f) => Value::Number(Number::F(*f)),
             ArgValue::S(s) => Value::String((*s).to_string()),
         }
@@ -117,11 +115,6 @@ impl TraceEvent {
 
     pub fn arg_u(mut self, key: &'static str, v: u64) -> TraceEvent {
         self.args.push((key, ArgValue::U(v)));
-        self
-    }
-
-    pub fn arg_i(mut self, key: &'static str, v: i64) -> TraceEvent {
-        self.args.push((key, ArgValue::I(v)));
         self
     }
 

@@ -13,7 +13,6 @@
 
 pub mod accuracy;
 pub mod config;
-pub mod des;
 pub mod executor;
 pub mod observe;
 pub mod planner;
@@ -21,7 +20,6 @@ pub mod trace;
 
 pub use accuracy::{max_gap, simulate_accuracy, AccuracyCurve};
 pub use config::{ConfigBuilder, ElasticSimConfig, ExperimentConfig};
-pub use des::{analytic_barriers, des_barriers, des_barriers_with};
 pub use executor::{ClusterSim, EpochReport, RunReport};
 pub use observe::{
     DecisionObservable, EvictReason, EvictionEvent, IterationObservables, MembershipObservable,

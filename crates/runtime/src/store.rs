@@ -262,11 +262,6 @@ impl SyntheticStore {
         &self.dataset
     }
 
-    /// The fault plan attached to this store, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// The shutdown flag: raising it makes in-flight simulated transfers
     /// return [`FetchError::Cancelled`] within one sleep chunk, so teardown
     /// never waits out a multi-second simulated PFS read.

@@ -99,11 +99,6 @@ impl<E> Scheduler<E> {
         self.heap.len()
     }
 
-    /// Firing time of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
     fn pop(&mut self) -> Option<Scheduled<E>> {
         let Reverse(s) = self.heap.pop()?;
         self.now = s.at;

@@ -108,14 +108,6 @@ impl SimDuration {
         }
     }
 
-    /// Build from fractional milliseconds (clamping like [`from_secs_f64`]).
-    ///
-    /// [`from_secs_f64`]: SimDuration::from_secs_f64
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> SimDuration {
-        SimDuration::from_secs_f64(ms / 1e3)
-    }
-
     #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0

@@ -27,7 +27,8 @@ use lobster_repro::data::{
 };
 use lobster_repro::metrics::Instruments;
 use lobster_repro::pipeline::{
-    ClusterSim, ConfigBuilder, ElasticSimConfig, MembershipObservable, RoleFlipObservable,
+    ClusterSim, ConfigBuilder, ElasticSimConfig, ExperimentConfig, MembershipObservable,
+    RoleFlipObservable,
 };
 use lobster_repro::runtime::{run_with, schedule_spec, EngineConfig, SyntheticStore};
 use lobster_repro::storage::FaultSpec;
@@ -284,96 +285,142 @@ fn role_flip_sequences_agree_across_all_three_executors() {
 //     exactly-once delivery under node loss (ISSUE 7 acceptance).
 // ---------------------------------------------------------------------
 
+/// The crash storm: three nodes of a 4-node cluster crash on staggered
+/// windows and node 1 dies a second time after recovering. It never downs
+/// more than two nodes at once, so every tick keeps survivors to foster
+/// onto. 192 / (4 nodes × 2 GPUs × batch 2) = 12 iterations per epoch.
+fn storm_config(seed: u64) -> ExperimentConfig {
+    let dataset = Dataset::generate(
+        "crash-storm",
+        192,
+        SizeDistribution::Uniform {
+            lo: 2_000,
+            hi: 16_000,
+        },
+        seed,
+    );
+    let mut b = ConfigBuilder::new()
+        .nodes(4)
+        .gpus_per_node(2)
+        .batch_size(2)
+        .pipeline_threads(8)
+        .cache_bytes(dataset.total_bytes() / 4)
+        .dataset(dataset)
+        .epochs(2)
+        .seed(seed);
+    for (node, tick, rejoin) in [(1, 2, 5), (2, 4, 9), (3, 7, 13), (1, 15, 20)] {
+        b = b.try_crash_node(node, tick, Some(rejoin)).unwrap();
+    }
+    b.build()
+}
+
 /// A whole-node crash (and rejoin) is a schedule-deterministic event: the
 /// membership sequence is a pure function of the compiled crash plan, so
 /// the analytical executor, the conformance DES, and the live engine must
 /// produce *byte-identical* sequences — and the per-epoch delivered
 /// multiset must equal the fault-free run's (exactly-once: losing a node
 /// re-shards its slice onto survivors, it never drops or duplicates a
-/// sample).
+/// sample). Two fixtures: the standard crash configuration (one crash,
+/// one rejoin; the engine runs the simulator's W = 6 × |B| = 4 schedule)
+/// and the crash storm (four windows; the engine is 4 consumers over 4
+/// peers).
 #[test]
 fn membership_sequences_agree_across_all_three_executors() {
     for seed in [3u64, 5, 7, 11, 13] {
-        // Simulator side (also covers sim == DES membership equality via
-        // the differential runner's exact-compared observable).
-        let cfg = crash_conformance_config(seed);
-        let summary = run_differential(&cfg, "lobster")
-            .unwrap_or_else(|d| panic!("seed {seed}: sim vs DES diverged on crash config:\n{d}"));
-        let want: Vec<MembershipObservable> = cfg
-            .crash_plan()
-            .membership_timeline(summary.iterations as u64)
-            .iter()
-            .map(MembershipObservable::from_event)
-            .collect();
-        assert!(
-            want.iter().any(|m| m.crashed) && want.iter().any(|m| !m.crashed),
-            "seed {seed}: fixture must exercise both a crash and a rejoin"
-        );
+        // (config, membership events, engine consumers, engine loaders)
+        let fixtures = [
+            (crash_conformance_config(seed), 2, 6, 4),
+            (storm_config(seed), 8, 4, 3),
+        ];
+        for (cfg, events, consumers, loader_threads) in fixtures {
+            // Simulator side (also covers sim == DES membership equality
+            // via the differential runner's exact-compared observable).
+            let summary = run_differential(&cfg, "lobster").unwrap_or_else(|d| {
+                panic!("seed {seed}: sim vs DES diverged on crash config:\n{d}")
+            });
+            let plan = cfg.crash_plan();
+            let timeline = |ticks: u64| -> Vec<MembershipObservable> {
+                plan.membership_timeline(ticks)
+                    .iter()
+                    .map(MembershipObservable::from_event)
+                    .collect()
+            };
+            let want = timeline(summary.iterations as u64);
+            assert_eq!(want.len(), events, "seed {seed}: {want:?}");
+            assert!(
+                want.iter().any(|m| m.crashed) && want.iter().any(|m| !m.crashed),
+                "seed {seed}: fixture must exercise both a crash and a rejoin"
+            );
 
-        let (_, sim_obs) =
-            ClusterSim::new(cfg.clone(), policy_by_name("lobster").unwrap()).run_observed();
-        assert_eq!(
-            sim_obs.membership_sequence(),
-            want,
-            "seed {seed}: analytical executor's membership sequence diverged from the plan"
-        );
+            let (_, sim_obs) =
+                ClusterSim::new(cfg.clone(), policy_by_name("lobster").unwrap()).run_observed();
+            assert_eq!(
+                sim_obs.membership_sequence(),
+                want,
+                "seed {seed}: analytical executor's membership sequence diverged from the plan"
+            );
 
-        // Exactly-once: the crash run delivers the same per-epoch
-        // multisets as a fault-free run of the same schedule.
-        let mut no_crash = cfg.clone();
-        no_crash.crashes.clear();
-        let (_, base_obs) =
-            ClusterSim::new(no_crash, policy_by_name("lobster").unwrap()).run_observed();
-        assert_eq!(
-            sim_obs.delivered, base_obs.delivered,
-            "seed {seed}: node loss changed the delivered multiset (exactly-once broken)"
-        );
+            // Exactly-once: the crash run delivers the same per-epoch
+            // multisets as a fault-free run of the same schedule.
+            let mut no_crash = cfg.clone();
+            no_crash.crashes.clear();
+            let (_, base_obs) =
+                ClusterSim::new(no_crash, policy_by_name("lobster").unwrap()).run_observed();
+            assert_eq!(
+                sim_obs.delivered, base_obs.delivered,
+                "seed {seed}: node loss changed the delivered multiset (exactly-once broken)"
+            );
 
-        // Live engine: same W=6, |B|=4, dataset, seed — so the same
-        // schedule — with the same crash plan applied at tick boundaries.
-        let ecfg = EngineConfig {
-            consumers: 6,
-            batch_size: 4,
-            loader_threads: 4,
-            preproc_threads: 2,
-            epochs: 2,
-            seed,
-            train: Duration::from_micros(100),
-            crashes: cfg.crashes.clone(),
-            peer_nodes: 3,
-            ..EngineConfig::default()
-        };
-        let store = Arc::new(SyntheticStore::new(
-            cfg.dataset.clone(),
-            Duration::ZERO,
-            0.0,
-        ));
-        let ins = Instruments::enabled();
-        let report = run_with(store, ecfg.clone(), ins.clone());
-        assert!(
-            !report.aborted,
-            "seed {seed}: engine aborted under crash schedule"
-        );
-        let engine_membership: Vec<MembershipObservable> = report
-            .membership
-            .iter()
-            .map(MembershipObservable::from_event)
-            .collect();
-        assert_eq!(
-            engine_membership, want,
-            "seed {seed}: live engine membership sequence diverged from the simulators"
-        );
+            // Live engine: same dataset and seed, with the same crash plan
+            // applied at tick boundaries.
+            let ecfg = EngineConfig {
+                consumers,
+                batch_size: cfg.cluster.batch_size,
+                loader_threads,
+                preproc_threads: 2,
+                epochs: 2,
+                seed,
+                train: Duration::from_micros(100),
+                crashes: cfg.crashes.clone(),
+                peer_nodes: cfg.cluster.nodes,
+                ..EngineConfig::default()
+            };
+            let store = Arc::new(SyntheticStore::new(
+                cfg.dataset.clone(),
+                Duration::ZERO,
+                0.0,
+            ));
+            let ins = Instruments::enabled();
+            let report = run_with(store, ecfg.clone(), ins.clone());
+            assert!(
+                !report.aborted,
+                "seed {seed}: engine aborted under crash schedule"
+            );
+            let engine_membership: Vec<MembershipObservable> = report
+                .membership
+                .iter()
+                .map(MembershipObservable::from_event)
+                .collect();
+            assert_eq!(
+                engine_membership,
+                timeline(report.iterations),
+                "seed {seed}: live engine membership sequence diverged from the plan"
+            );
 
-        // The engine still delivers exactly the schedule — per consumer,
-        // per iteration — and the same epoch multisets as the simulator.
-        check_engine_delivery(&cfg.dataset, &ecfg, &report, &ins)
-            .unwrap_or_else(|d| panic!("seed {seed}: engine vs schedule under crash:\n{d}"));
-        let iters = schedule_spec(&cfg.dataset, &ecfg).iterations_per_epoch();
-        assert_eq!(
-            engine_epoch_multisets(&report, &ecfg, iters),
-            sim_obs.delivered,
-            "seed {seed}: engine epoch multisets diverged from the crash-schedule simulator run"
-        );
+            // The engine still delivers exactly the schedule — per
+            // consumer, per iteration — and, on the simulator's world
+            // size, the same epoch multisets as the simulator.
+            check_engine_delivery(&cfg.dataset, &ecfg, &report, &ins)
+                .unwrap_or_else(|d| panic!("seed {seed}: engine vs schedule under crash:\n{d}"));
+            if consumers == cfg.cluster.world_size() {
+                let iters = schedule_spec(&cfg.dataset, &ecfg).iterations_per_epoch();
+                assert_eq!(
+                    engine_epoch_multisets(&report, &ecfg, iters),
+                    sim_obs.delivered,
+                    "seed {seed}: engine epoch multisets diverged from the simulator"
+                );
+            }
+        }
     }
 }
 

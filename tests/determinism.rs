@@ -1,5 +1,6 @@
 //! Cross-crate determinism: the whole stack — dataset generation, shuffle,
-//! oracle, caches, policies, executor — must be a pure function of the seed.
+//! oracle, caches, policies, executor — must be a pure function of the seed,
+//! and every recorded proptest counterexample seed must be kept.
 
 use lobster_repro::core::{policy_by_name, LoaderPolicy};
 use lobster_repro::data::{Dataset, SizeDistribution};
@@ -91,4 +92,23 @@ fn schedule_and_oracle_agree_across_crate_boundaries() {
         oracle.advance();
     }
     assert_eq!(oracle.upcoming_iteration(0), e1.node_iteration(0, 0));
+}
+
+/// Every crate, and the root package, keeps a proptest regression corpus
+/// so recorded counterexample seeds replay on every run.
+#[test]
+fn every_crate_keeps_its_proptest_regression_corpus() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.to_path_buf()];
+    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            dirs.push(path);
+        }
+    }
+    assert!(dirs.len() > 1, "no crates under {}", root.display());
+    for dir in dirs {
+        let corpus = dir.join("proptest-regressions/seeds.txt");
+        assert!(corpus.is_file(), "missing {}", corpus.display());
+    }
 }

@@ -18,6 +18,9 @@ fn base_cfg(nodes: usize) -> ExperimentConfig {
         .build()
 }
 
+/// A slow node costs every policy time, and the adaptive policy degrades
+/// no more than the static one — for a constant straggler and for one
+/// that flaps between nominal and 2× speed every 5 s.
 #[test]
 fn slow_node_costs_time_and_adaptive_absorbs_part_of_it() {
     let nominal_pt = ClusterSim::new(base_cfg(4), policy_by_name("pytorch").unwrap())
@@ -27,26 +30,39 @@ fn slow_node_costs_time_and_adaptive_absorbs_part_of_it() {
         .run()
         .0;
 
-    let slow = |mut c: ExperimentConfig| {
-        c.node_slowdown = SlowdownProfile::constants(&[1.0, 1.0, 2.5, 1.0]);
-        c
+    let flap = SlowdownProfile::Flap {
+        period_s: 5.0,
+        lo: 1.0,
+        hi: 2.0,
     };
-    let slow_pt = ClusterSim::new(slow(base_cfg(4)), policy_by_name("pytorch").unwrap())
-        .run()
-        .0;
-    let slow_lb = ClusterSim::new(slow(base_cfg(4)), policy_by_name("lobster").unwrap())
-        .run()
-        .0;
+    for profiles in [
+        SlowdownProfile::constants(&[1.0, 1.0, 2.5, 1.0]),
+        vec![SlowdownProfile::NOMINAL, flap],
+    ] {
+        let slow = |mut c: ExperimentConfig| {
+            c.node_slowdown = profiles.clone();
+            c
+        };
+        let slow_pt = ClusterSim::new(slow(base_cfg(4)), policy_by_name("pytorch").unwrap())
+            .run()
+            .0;
+        let slow_lb = ClusterSim::new(slow(base_cfg(4)), policy_by_name("lobster").unwrap())
+            .run()
+            .0;
 
-    // The fault costs everyone something…
-    assert!(slow_pt.mean_epoch_s() > nominal_pt.mean_epoch_s());
-    // …but the adaptive policy degrades no more than the static one.
-    let pt_factor = slow_pt.mean_epoch_s() / nominal_pt.mean_epoch_s();
-    let lb_factor = slow_lb.mean_epoch_s() / nominal_lb.mean_epoch_s();
-    assert!(
-        lb_factor <= pt_factor + 0.02,
-        "lobster degraded {lb_factor:.2}x vs pytorch {pt_factor:.2}x"
-    );
+        // The fault costs everyone something…
+        assert!(
+            slow_pt.mean_epoch_s() > nominal_pt.mean_epoch_s(),
+            "{profiles:?}"
+        );
+        // …but the adaptive policy degrades no more than the static one.
+        let pt_factor = slow_pt.mean_epoch_s() / nominal_pt.mean_epoch_s();
+        let lb_factor = slow_lb.mean_epoch_s() / nominal_lb.mean_epoch_s();
+        assert!(
+            lb_factor <= pt_factor + 0.02,
+            "{profiles:?}: lobster degraded {lb_factor:.2}x vs pytorch {pt_factor:.2}x"
+        );
+    }
 }
 
 #[test]

@@ -35,13 +35,15 @@ fn cfg() -> EngineConfig {
     }
 }
 
-/// The ISSUE's acceptance scenario: ≥5% transient errors, corruption, and
-/// a mid-run slowdown. The engine must complete with the same
-/// integrity fingerprint a fault-free run reports, and export non-zero
-/// retry/corruption counters.
+/// The engine heals every fault class and still delivers the integrity
+/// fingerprint a fault-free run reports, with non-zero retry and
+/// corruption counters in the report, the metric registry and the trace.
+/// Two cases: transients, corruption, stalls and a mid-run slowdown
+/// behind a 20 µs store; then every class at once, worker-poisoning
+/// panics included, behind a 50 µs / 500 MB/s store.
 #[test]
 fn engine_heals_transients_corruption_and_slowdown_with_exact_integrity() {
-    let spec = FaultSpec {
+    let heal = FaultSpec {
         transient_rate: 0.08,
         corrupt_rate: 0.04,
         stall_rate: 0.02,
@@ -53,6 +55,19 @@ fn engine_heals_transients_corruption_and_slowdown_with_exact_integrity() {
         seed: 4242,
         ..FaultSpec::default()
     };
+    let all_classes = FaultSpec {
+        transient_rate: 0.08,
+        corrupt_rate: 0.03,
+        stall_rate: 0.03,
+        stall: Duration::from_millis(2),
+        poison_rate: 0.01,
+        slowdown: vec![SlowdownProfile::Step {
+            at_s: 0.2,
+            factor: 2.0,
+        }],
+        seed: 2,
+        ..FaultSpec::default()
+    };
     let cfg = cfg();
     let ds = dataset(96);
     let expected = expected_integrity(&ds, &cfg);
@@ -62,54 +77,71 @@ fn engine_heals_transients_corruption_and_slowdown_with_exact_integrity() {
     let clean_report = run(clean, cfg.clone());
     assert_eq!(clean_report.integrity, expected);
 
-    // Fault-injected run: same schedule, same fingerprint, visible healing.
-    let plan = spec.compile().unwrap();
-    let store = Arc::new(SyntheticStore::with_faults(
-        ds,
-        Duration::from_micros(20),
-        0.0,
-        plan,
-    ));
-    let ins = Instruments::enabled();
-    let report = run_with(Arc::clone(&store), cfg, ins.clone());
+    for (spec, latency, bandwidth) in [
+        (heal, Duration::from_micros(20), 0.0),
+        (all_classes, Duration::from_micros(50), 500e6),
+    ] {
+        // Fault-injected run: same schedule, same fingerprint, visible healing.
+        let store = Arc::new(SyntheticStore::with_faults(
+            ds.clone(),
+            latency,
+            bandwidth,
+            spec.compile().unwrap(),
+        ));
+        let ins = Instruments::enabled();
+        let report = run_with(Arc::clone(&store), cfg.clone(), ins.clone());
+        // Every class with a non-zero rate fires at least once.
+        let injected = store.injected();
+        for (class, rate, count) in [
+            ("transient", spec.transient_rate, injected.transients),
+            ("stall", spec.stall_rate, injected.stalls),
+            ("corrupt", spec.corrupt_rate, injected.corruptions),
+            ("poison", spec.poison_rate, injected.poisons),
+        ] {
+            assert_eq!(
+                count > 0,
+                rate > 0.0,
+                "{class}: rate {rate}, {count} injected"
+            );
+        }
 
-    assert!(!report.aborted, "faults must be healed, not fatal");
-    assert_eq!(report.delivered, clean_report.delivered);
-    assert_eq!(
-        report.integrity, expected,
-        "zero corrupted samples may reach consumers"
-    );
-    assert!(report.retries > 0, "8% transients must surface as retries");
-    assert!(
-        report.corruptions_detected > 0,
-        "4% corruption must be caught by checksum verification"
-    );
-    assert_eq!(
-        report.corruptions_detected,
-        store.injected().corruptions,
-        "every injected corruption must be detected (none delivered)"
-    );
+        assert!(!report.aborted, "faults must be healed, not fatal");
+        assert_eq!(report.delivered, clean_report.delivered);
+        assert_eq!(
+            report.integrity, expected,
+            "zero corrupted samples may reach consumers"
+        );
+        assert!(report.retries > 0, "8% transients must surface as retries");
+        assert_eq!(
+            report.corruptions_detected, injected.corruptions,
+            "every injected corruption must be detected (none delivered)"
+        );
+        assert_eq!(
+            report.worker_panics, injected.poisons,
+            "every poisoned worker must be contained"
+        );
 
-    // Counters are exported through the metric registry...
-    let snap = ins.metrics_snapshot();
-    assert_eq!(snap.get("engine.retries").unwrap() as u64, report.retries);
-    assert_eq!(
-        snap.get("engine.corruptions_detected").unwrap() as u64,
-        report.corruptions_detected
-    );
-    // ...and each fault/recovery left an instant in the trace.
-    let trace = ins.chrome_trace_json().expect("enabled bundle has a trace");
-    let doc: serde_json::Value = serde_json::from_str(&trace).unwrap();
-    let events = doc["traceEvents"].as_array().unwrap();
-    let count = |name: &str| {
-        events
-            .iter()
-            .filter(|e| e["name"].as_str() == Some(name))
-            .count() as u64
-    };
-    assert!(count("fault_transient") > 0, "transients traced");
-    assert!(count("fault_corruption") > 0, "corruptions traced");
-    assert!(count("fault_recovered") > 0, "recoveries traced");
+        // Counters are exported through the metric registry...
+        let snap = ins.metrics_snapshot();
+        assert_eq!(snap.get("engine.retries").unwrap() as u64, report.retries);
+        assert_eq!(
+            snap.get("engine.corruptions_detected").unwrap() as u64,
+            report.corruptions_detected
+        );
+        // ...and each fault/recovery left an instant in the trace.
+        let trace = ins.chrome_trace_json().expect("enabled bundle has a trace");
+        let doc: serde_json::Value = serde_json::from_str(&trace).unwrap();
+        let events = doc["traceEvents"].as_array().unwrap();
+        let count = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e["name"].as_str() == Some(name))
+                .count() as u64
+        };
+        assert!(count("fault_transient") > 0, "transients traced");
+        assert!(count("fault_corruption") > 0, "corruptions traced");
+        assert!(count("fault_recovered") > 0, "recoveries traced");
+    }
 }
 
 /// Poisoned-worker containment: a worker that panics mid-fetch is caught,

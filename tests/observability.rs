@@ -220,6 +220,26 @@ fn forced_slow_node_is_attributed_to_gpu_and_tier() {
     let back: Diagnosis = serde_json::from_str(&json).unwrap();
     assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
     assert_eq!(back.straggler.map(|s| (s.node, s.gpu)), Some((1, 0)));
+
+    // The same diagnosis from the files `--trace-out` writes: the trace
+    // and the metrics / decisions sidecars `lobster_doctor` reads back.
+    use lobster_repro::bench::{decisions_sidecar, metrics_sidecar, write_observability};
+    use lobster_repro::metrics::{DecisionRecord, MetricsSnapshot};
+    let dir = std::env::temp_dir().join(format!("lobster-doctor-files-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("trace.json");
+    write_observability(&ins, Some(&path));
+    let read = |p: &std::path::Path| std::fs::read_to_string(p).unwrap();
+    let metrics: MetricsSnapshot = serde_json::from_str(&read(&metrics_sidecar(&path))).unwrap();
+    let decisions: Vec<DecisionRecord> = read(&decisions_sidecar(&path))
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    let from_files = diagnose(&read(&path), Some(&metrics), &decisions).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(!from_files.verdicts.is_empty(), "findings from the files");
+    assert_eq!(serde_json::to_string_pretty(&from_files).unwrap(), json);
+    assert!(render(&from_files).contains("== findings =="));
 }
 
 /// The acceptance criterion for the live gap gauge: in an adaptive run

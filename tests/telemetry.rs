@@ -1,6 +1,6 @@
 //! Telemetry plane end-to-end guarantees (DESIGN.md §14).
 //!
-//! Four contracts are proven here, at whole-run scale:
+//! Five contracts are proven here, at whole-run scale:
 //!
 //! 1. **Cross-executor anomaly conformance**: the analytical `ClusterSim`
 //!    and the event-driven conformance DES emit byte-identical anomaly
@@ -10,7 +10,11 @@
 //!    equals a fresh `DetectorBank::replay` over its own recorded frames.
 //! 3. **Attribution**: a scheduled crash and rejoin fire membership-change
 //!    anomalies at exactly their scheduled ticks, carrying the masks.
-//! 4. **Zero allocation**: the disabled telemetry facet never allocates,
+//! 4. **Detection on the stream**: a seeded 3× slowdown recorded through
+//!    `record_tick` fires the throughput-cliff and level-shift detectors
+//!    within ±1 tick of its onset, and the `--telemetry-out` file it
+//!    writes parses back into frames on which an SLO reads as violated.
+//! 5. **Zero allocation**: the disabled telemetry facet never allocates,
 //!    and the *enabled* steady-state `record_tick` path is allocation-free
 //!    across 1× ring wraps and both rollup-ring wraps (counting-allocator
 //!    proof, same harness as `tests/flight_recorder.rs`).
@@ -31,8 +35,8 @@ use lobster_repro::conformance::runner::{
 use lobster_repro::core::policy_by_name;
 use lobster_repro::data::{Dataset, SizeDistribution};
 use lobster_repro::metrics::{
-    DetectorBank, DetectorConfig, DetectorKind, FlightTier, Instruments, TickScalars,
-    DEFAULT_TELEMETRY_CAPACITY,
+    evaluate_slos, parse_slo_specs, parse_telemetry_stream, DetectorBank, DetectorConfig,
+    DetectorKind, FlightTier, Instruments, TelemetryLine, TickScalars, DEFAULT_TELEMETRY_CAPACITY,
 };
 use lobster_repro::pipeline::ClusterSim;
 use lobster_repro::runtime::{run_with, EngineConfig, SyntheticStore};
@@ -194,7 +198,79 @@ fn engine_crash_and_rejoin_fire_membership_anomalies_at_their_ticks() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Zero-allocation contracts.
+// 4. A seeded slowdown, detected on the recorded stream.
+// ---------------------------------------------------------------------
+
+/// 48 ticks of a healthy pipeline with a small deterministic wiggle; the
+/// iteration time triples from tick 24 on.
+#[test]
+fn seeded_slowdown_is_detected_within_one_tick_and_violates_the_slo_on_file() {
+    const SLOW_AT: u64 = 24;
+    let path = std::env::temp_dir().join(format!(
+        "lobster-telemetry-slowdown-{}.jsonl",
+        std::process::id()
+    ));
+    let ins = Instruments::enabled();
+    ins.set_telemetry_out(&path).unwrap();
+    for tick in 0..48u64 {
+        let iter_us = (10_000 + (tick % 5) * 16) * if tick >= SLOW_AT { 3 } else { 1 };
+        ins.record_tick(TickScalars {
+            tick,
+            gap_us: 900 + (tick % 7) * 3,
+            iter_us,
+            local_hits: 52,
+            remote_hits: 9,
+            misses: 3,
+            prefetched: 12,
+            evictions: 4,
+            delivered: 64,
+            preproc_workers: 2,
+            loader_workers: 6,
+            ..TickScalars::default()
+        });
+    }
+    ins.flush_telemetry();
+
+    let anomalies = ins.telemetry_anomalies();
+    let first = |kind| {
+        anomalies
+            .iter()
+            .find(|a| a.kind == kind)
+            .unwrap_or_else(|| panic!("the slowdown fired no {kind:?}: {anomalies:?}"))
+    };
+    let cliff = first(DetectorKind::ThroughputCliff);
+    assert!(cliff.tick.abs_diff(SLOW_AT) <= 1, "cliff at {}", cliff.tick);
+    let shift = first(DetectorKind::LevelShift);
+    assert!(
+        shift.onset_tick.abs_diff(SLOW_AT) <= 1,
+        "level-shift onset at {}",
+        shift.onset_tick
+    );
+
+    // The file carries every frame and firing; the SLO is judged on it.
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let lines = parse_telemetry_stream(&text).unwrap();
+    let frames: Vec<_> = lines
+        .iter()
+        .filter_map(|l| match l {
+            TelemetryLine::Frame(f) => Some(f.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(frames.len(), 48);
+    let on_file = lines
+        .iter()
+        .filter(|l| matches!(l, TelemetryLine::Anomaly(_)))
+        .count();
+    assert_eq!(on_file, anomalies.len(), "every firing reaches the file");
+    let verdicts = evaluate_slos(&parse_slo_specs("iter_us<=15000").unwrap(), &frames);
+    assert!(!verdicts[0].pass, "{:?}", verdicts[0]);
+    assert_eq!(verdicts[0].violations, 48 - SLOW_AT);
+}
+
+// ---------------------------------------------------------------------
+// 5. Zero-allocation contracts.
 // ---------------------------------------------------------------------
 
 fn quiet_frame(tick: u64) -> TickScalars {
