@@ -8,11 +8,10 @@
 //! per-batch byte volumes are unchanged). EXPERIMENTS.md records the scale
 //! used for each figure.
 
-use lobster_core::{LoaderPolicy, ModelProfile};
-use lobster_data::{Dataset, WorkloadSpec};
+use lobster_core::{policy_by_name, ModelProfile};
+use lobster_data::Dataset;
 use lobster_metrics::{Instruments, TelemetryLine};
 use lobster_pipeline::{ClusterSim, ConfigBuilder, ExperimentConfig, RunReport};
-use lobster_storage::FaultSpec;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -51,16 +50,6 @@ pub struct BenchParams {
     pub seed: u64,
 }
 
-impl Default for BenchParams {
-    fn default() -> Self {
-        BenchParams {
-            scale: 16,
-            epochs: 4,
-            seed: 42,
-        }
-    }
-}
-
 /// The paper's 40 GB node cache, scaled.
 pub fn scaled_cache_bytes(scale: u32) -> u64 {
     (40u64 << 30) / scale.max(1) as u64
@@ -86,18 +75,12 @@ pub fn paper_config(
         .build()
 }
 
-/// Run one policy on one config.
-pub fn run_policy(cfg: ExperimentConfig, policy: Box<dyn LoaderPolicy>) -> RunReport {
-    run_policy_with(cfg, policy, &Instruments::disabled())
-}
-
-/// Run one policy with an observability bundle attached; trace events,
-/// metrics, and controller decisions from the run land in `ins`.
-pub fn run_policy_with(
-    cfg: ExperimentConfig,
-    policy: Box<dyn LoaderPolicy>,
-    ins: &Instruments,
-) -> RunReport {
+/// Run the policy registered as `name` on one config, with an
+/// observability bundle attached: trace events, metrics, and controller
+/// decisions from the run land in `ins` (a disabled bundle records
+/// nothing).
+pub fn run_policy(cfg: ExperimentConfig, name: &str, ins: &Instruments) -> RunReport {
+    let policy = policy_by_name(name).unwrap_or_else(|| panic!("unknown policy {name}"));
     ClusterSim::new(cfg, policy)
         .with_instruments(ins.clone())
         .run()
@@ -118,18 +101,9 @@ pub struct PolicyRow {
 }
 
 /// Run a set of policies on identical configs and tabulate steady-state
-/// metrics with speedups relative to the PyTorch baseline.
+/// metrics with speedups relative to the PyTorch baseline. All runs share
+/// `ins`; a trace distinguishes them by time order.
 pub fn compare_policies(
-    make_cfg: impl Fn() -> ExperimentConfig,
-    policy_names: &[&str],
-) -> Vec<PolicyRow> {
-    compare_policies_with(make_cfg, policy_names, &Instruments::disabled())
-}
-
-/// As [`compare_policies`], with an observability bundle attached to every
-/// run (all policies share one bundle; the trace distinguishes them by
-/// time order).
-pub fn compare_policies_with(
     make_cfg: impl Fn() -> ExperimentConfig,
     policy_names: &[&str],
     ins: &Instruments,
@@ -137,9 +111,7 @@ pub fn compare_policies_with(
     let mut rows: Vec<PolicyRow> = policy_names
         .iter()
         .map(|&name| {
-            let policy = lobster_core::policy_by_name(name)
-                .unwrap_or_else(|| panic!("unknown policy {name}"));
-            let report = run_policy_with(make_cfg(), policy, ins);
+            let report = run_policy(make_cfg(), name, ins);
             PolicyRow {
                 policy: name.to_string(),
                 mean_epoch_s: report.mean_epoch_s(),
@@ -164,105 +136,6 @@ pub fn compare_policies_with(
 
 /// The four systems of §5.1, in presentation order.
 pub const BASELINE_NAMES: [&str; 4] = ["pytorch", "dali", "nopfs", "lobster"];
-
-/// Minimal CLI parsing shared by the figure binaries: `--scale N`,
-/// `--epochs N`, `--seed N` override the defaults.
-pub fn params_from_args(default: BenchParams) -> BenchParams {
-    let mut params = default;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < args.len() {
-        let value = &args[i + 1];
-        match args[i].as_str() {
-            "--scale" => params.scale = value.parse().expect("--scale takes a u32"),
-            "--epochs" => params.epochs = value.parse().expect("--epochs takes a u64"),
-            "--seed" => params.seed = value.parse().expect("--seed takes a u64"),
-            _ => {
-                i += 1;
-                continue;
-            }
-        }
-        i += 2;
-    }
-    params
-}
-
-/// Fault-injection CLI: `--faults <spec>` parses a seeded fault
-/// specification (see [`FaultSpec::parse`]), e.g.
-///
-/// ```text
-/// --faults transient=0.05,corrupt=0.01,stall=0.02,stall-ms=50,seed=9,slow=0:step:2.5:40
-/// ```
-///
-/// Returns `default` (typically [`FaultSpec::default`], a no-op) when the
-/// flag is absent; an unparsable spec is a usage error (exit 2).
-pub fn faults_from_args(default: FaultSpec) -> FaultSpec {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(w) = args.windows(2).find(|w| w[0] == "--faults") {
-        match FaultSpec::parse(&w[1]) {
-            Ok(spec) => return spec,
-            Err(e) => {
-                eprintln!("error: invalid --faults spec: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.last().map(String::as_str) == Some("--faults") {
-        eprintln!("error: --faults requires a spec argument");
-        std::process::exit(2);
-    }
-    default
-}
-
-/// Workload CLI: `--workload <family>[:<k>=<v>,...]` parses a seeded
-/// workload scenario (see [`WorkloadSpec::parse`]), e.g.
-///
-/// ```text
-/// --workload zipf:s=1.3,samples=1024
-/// --workload bimodal:slow-frac=0.25,slow-cost=8
-/// ```
-///
-/// Families: `zipf`, `heavy-tail`, `bimodal`, `growing`, `drift`. Returns
-/// `None` when the flag is absent (run the classic uniform epoch-shuffle
-/// workload); an unparsable spec is a usage error (exit 2).
-pub fn workload_from_args() -> Option<WorkloadSpec> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(w) = args.windows(2).find(|w| w[0] == "--workload") {
-        match WorkloadSpec::parse(&w[1]) {
-            Ok(spec) => return Some(spec),
-            Err(e) => {
-                eprintln!("error: invalid --workload spec: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.last().map(String::as_str) == Some("--workload") {
-        eprintln!("error: --workload requires a family argument");
-        std::process::exit(2);
-    }
-    None
-}
-
-/// Observability CLI: `--trace-out <path>` turns instrumentation on and
-/// names the Chrome trace-event JSON output file. Without the flag the
-/// returned bundle is disabled and every instrumentation site is a no-op.
-pub fn observability_from_args() -> (Instruments, Option<PathBuf>) {
-    let args: Vec<String> = std::env::args().collect();
-    let path = args
-        .windows(2)
-        .find(|w| w[0] == "--trace-out")
-        .map(|w| PathBuf::from(&w[1]));
-    if path.is_none() && args.iter().any(|a| a == "--trace-out") {
-        eprintln!("error: --trace-out requires a path argument");
-        std::process::exit(2);
-    }
-    let ins = if path.is_some() {
-        Instruments::enabled()
-    } else {
-        Instruments::disabled()
-    };
-    (ins, path)
-}
 
 /// Sidecar path `<trace>.metrics.json` next to a trace output file.
 pub fn metrics_sidecar(trace_out: &Path) -> PathBuf {
@@ -394,6 +267,7 @@ mod tests {
         let rows = compare_policies(
             || paper_config(DatasetKind::ImageNet1k, 1, resnet50(), p),
             &["pytorch", "lobster"],
+            &Instruments::disabled(),
         );
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].speedup_vs_pytorch, 1.0);

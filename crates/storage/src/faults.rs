@@ -24,7 +24,7 @@ use std::time::Duration;
 /// load/transfer duration on that node. All factors are ≥ 1 (1 = nominal).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SlowdownProfile {
-    /// The static fault of the original `ext_robustness` experiment.
+    /// The static slow-node fault of `lobster_figures ext_robustness`.
     Constant(f64),
     /// Nominal until `at_s`, then `factor` forever — a node degrading
     /// mid-run (disk rebuild, noisy neighbour arriving).

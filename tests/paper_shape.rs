@@ -1,10 +1,11 @@
 //! The paper's headline claims, as executable assertions at reduced scale.
-//! These run the same harness as the figure binaries (smaller, faster) and
+//! These run the same harness as `lobster_figures` (smaller, faster) and
 //! pin the *shape* of every result: orderings and rough factors, not
 //! absolute numbers.
 
 use lobster_repro::bench::{paper_config, run_policy, BenchParams, DatasetKind};
-use lobster_repro::core::{models, policy_by_name};
+use lobster_repro::core::{models, ModelProfile};
+use lobster_repro::metrics::Instruments;
 use lobster_repro::pipeline::RunReport;
 
 const PARAMS: BenchParams = BenchParams {
@@ -13,11 +14,13 @@ const PARAMS: BenchParams = BenchParams {
     seed: 42,
 };
 
+fn run(kind: DatasetKind, nodes: usize, model: ModelProfile, name: &str) -> RunReport {
+    let cfg = paper_config(kind, nodes, model, PARAMS);
+    run_policy(cfg, name, &Instruments::disabled())
+}
+
 fn run_1k(nodes: usize, name: &str) -> RunReport {
-    run_policy(
-        paper_config(DatasetKind::ImageNet1k, nodes, models::resnet50(), PARAMS),
-        policy_by_name(name).unwrap(),
-    )
+    run(DatasetKind::ImageNet1k, nodes, models::resnet50(), name)
 }
 
 #[test]
@@ -41,14 +44,8 @@ fn figure7_lobster_beats_every_baseline() {
 
 #[test]
 fn figure7c_multi_node_widens_the_gap() {
-    let pt = run_policy(
-        paper_config(DatasetKind::ImageNet22k, 8, models::resnet50(), PARAMS),
-        policy_by_name("pytorch").unwrap(),
-    );
-    let lobster = run_policy(
-        paper_config(DatasetKind::ImageNet22k, 8, models::resnet50(), PARAMS),
-        policy_by_name("lobster").unwrap(),
-    );
+    let pt = run(DatasetKind::ImageNet22k, 8, models::resnet50(), "pytorch");
+    let lobster = run(DatasetKind::ImageNet22k, 8, models::resnet50(), "lobster");
     let speedup = pt.mean_epoch_s() / lobster.mean_epoch_s();
     assert!(
         speedup > 1.4,
@@ -122,15 +119,9 @@ fn figure11_ablation_shape() {
 
 #[test]
 fn figure11_eviction_helps_small_models_more() {
-    let gain = |model: lobster_repro::core::ModelProfile| {
-        let dali = run_policy(
-            paper_config(DatasetKind::ImageNet1k, 1, model.clone(), PARAMS),
-            policy_by_name("dali").unwrap(),
-        );
-        let evict = run_policy(
-            paper_config(DatasetKind::ImageNet1k, 1, model, PARAMS),
-            policy_by_name("lobster_evict").unwrap(),
-        );
+    let gain = |model: ModelProfile| {
+        let dali = run(DatasetKind::ImageNet1k, 1, model.clone(), "dali");
+        let evict = run(DatasetKind::ImageNet1k, 1, model, "lobster_evict");
         dali.mean_epoch_s() / evict.mean_epoch_s()
     };
     let small = gain(models::squeezenet());

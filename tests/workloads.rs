@@ -13,8 +13,8 @@
 //!    engine's delivery check.
 //! 3. **The estimate showdown** — on the bimodal family the mean-based
 //!    work estimate the paper assumes provisions too few preprocessing
-//!    threads; the p90 quantile estimate must beat it (the `ext_workloads`
-//!    binary pins the ≥10% headline; here we pin the direction).
+//!    threads; the p90 quantile estimate must beat it (`lobster_figures
+//!    ext_workloads` pins the ≥10% headline; here we pin the direction).
 
 use lobster_repro::conformance::{
     check_engine_delivery, run_differential, workload_conformance_matrix,
